@@ -4,7 +4,8 @@ Every subcommand writes machine-readable output to stdout (or ``--out``),
 formats floats with 17 significant digits for exact round-trips, and is
 deterministic for a fixed argv and seed (``--seed`` or the LIEQUANT_SEED
 environment variable).  Exit codes: 0 success, 1 domain error (the error
-token is printed), 2 usage error.
+token is printed; ``io_error`` when an input or output file cannot be
+opened), 2 usage error (including numbers or spins that do not parse).
 """
 
 from __future__ import annotations
@@ -50,13 +51,34 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _numbers(count=None):
+    """argparse type: comma-separated floats, exactly ``count`` of them if given."""
+    def parse(text: str) -> list:
+        try:
+            vals = [float(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}") from None
+        if count is not None and len(vals) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} comma-separated numbers, got {text!r}")
+        return vals
+    return parse
+
+
+def _spin(text: str) -> str:
+    """argparse type: a spin such as 1, 3/2 or 2.5, kept as written."""
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not an integer or fraction: {text!r}") from None
+    return text
+
+
 def _matrix_arg(args) -> np.ndarray:
     if args.matrix:
-        vals = [float(v) for v in args.matrix.split(",")]
-        n = int(round(math.sqrt(len(vals))))
-        if n * n != len(vals):
+        n = int(round(math.sqrt(len(args.matrix))))
+        if n * n != len(args.matrix):
             raise DomainError("shape", "--matrix needs n*n comma-separated entries")
-        return np.array(vals).reshape(n, n)
+        return np.array(args.matrix).reshape(n, n)
     if args.infile:
         with open(args.infile) as fh:
             data = json.load(fh)
@@ -70,18 +92,6 @@ def _seed(args) -> int:
         return args.seed
     env = os.environ.get("LIEQUANT_SEED")
     return int(env) if env else 0
-
-
-def _vector(text: str, n: int = 3) -> np.ndarray:
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != n:
-        raise DomainError("shape", f"expected {n} comma-separated numbers")
-    return np.array(vals)
-
-
-def _complex_pair(text: str) -> complex:
-    re, im = (float(v) for v in text.split(","))
-    return complex(re, im)
 
 
 def _constants(args) -> thermal.PhysicalConstants:
@@ -105,12 +115,12 @@ def _cmd_rotate(args) -> str:
     if args.axis:
         rot = rotations.elementary(args.axis, args.angle)
     elif args.vector:
-        rot = rotations.rodrigues(_vector(args.vector))
+        rot = rotations.rodrigues(np.array(args.vector))
     else:
         raise DomainError("missing_input", "provide --axis/--angle or --vector")
     out = {"matrix": [[_fmt(x) for x in row] for row in rot.m]}
     if args.apply:
-        out["image"] = [_fmt(x) for x in rot.apply(_vector(args.apply))]
+        out["image"] = [_fmt(x) for x in rot.apply(np.array(args.apply))]
     return _jdump(out)
 
 
@@ -167,7 +177,7 @@ def _cmd_algebra_verify(args) -> str:
 
 
 def _cmd_rigidbody(args) -> str:
-    state = RigidBodyState(tuple(_vector(args.j0)), tuple(_vector(args.inertia)))
+    state = RigidBodyState(tuple(args.j0), tuple(args.inertia))
     trajectory = integrate_rigid_body(state, args.dt, args.steps)
     return trajectory_csv(trajectory)
 
@@ -180,11 +190,11 @@ def _cmd_fock_spectrum(args) -> str:
 
 
 def _cmd_coherent(args) -> str:
-    state = fock.CoherentState(_complex_pair(args.lam), _complex_pair(args.z), args.dim)
+    state = fock.CoherentState(complex(*args.lam), complex(*args.z), args.dim)
     norm = fock.coherent_inner(state, state, args.hbar)
     out = {"coeffs": [complex(v) for v in state.coeffs], "norm_squared": norm}
     if args.evolve:
-        omega, t = (float(v) for v in args.evolve.split(","))
+        omega, t = args.evolve
         ev = fock.evolve_coherent(state, omega, t)
         out["evolved_z"] = complex(ev.z)
     return _jdump(out)
@@ -236,7 +246,7 @@ def _cmd_cg(args) -> str:
 
 def _cmd_gibbs(args) -> str:
     if args.levels:
-        h = np.diag([float(v) for v in args.levels.split(",")])
+        h = np.diag(args.levels)
     elif args.infile:
         with open(args.infile) as fh:
             h = np.array(json.load(fh)["matrix"], dtype=float)
@@ -316,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
             "Elementary rotation R_x/R_y/R_z or axis-angle rotation matrix")
     p.add_argument("--axis", choices=["x", "y", "z"])
     p.add_argument("--angle", type=float, default=0.0, help="angle in radians")
-    p.add_argument("--vector", help="rotation vector ax,ay,az (axis times angle)")
-    p.add_argument("--apply", help="also rotate this 3-vector")
+    p.add_argument("--vector", type=_numbers(3), help="rotation vector ax,ay,az (axis times angle)")
+    p.add_argument("--apply", type=_numbers(3), help="also rotate this 3-vector")
 
     p = add("euler", _cmd_euler, "z-y-z Euler angles of a rotation matrix")
-    p.add_argument("--matrix", help="9 comma-separated row-major entries")
+    p.add_argument("--matrix", type=_numbers(), help="9 comma-separated row-major entries")
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
 
     p = add("lift", _cmd_lift, "SU(2) preimage (x, y) of a rotation matrix")
-    p.add_argument("--matrix", help="9 comma-separated row-major entries")
+    p.add_argument("--matrix", type=_numbers(), help="9 comma-separated row-major entries")
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
 
     p = add("cover-check", _cmd_cover_check,
@@ -339,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true", help="include the serialized basis")
 
     p = add("rigidbody", _cmd_rigidbody, "free rigid body trajectory as CSV")
-    p.add_argument("--inertia", required=True, help="I1,I2,I3")
-    p.add_argument("--j0", required=True, help="initial angular momentum J1,J2,J3")
+    p.add_argument("--inertia", type=_numbers(3), required=True, help="I1,I2,I3")
+    p.add_argument("--j0", type=_numbers(3), required=True, help="initial angular momentum J1,J2,J3")
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
 
@@ -352,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
 
     p = add("coherent", _cmd_coherent, "coherent-state coefficients and norm")
-    p.add_argument("--lam", default="1,0", help="lambda as re,im")
-    p.add_argument("--z", default="0,0", help="mode parameter as re,im")
+    p.add_argument("--lam", type=_numbers(2), default="1,0", help="lambda as re,im")
+    p.add_argument("--z", type=_numbers(2), default="0,0", help="mode parameter as re,im")
     p.add_argument("--dim", type=int, default=40)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--evolve", help="omega,t: report the evolved mode parameter")
+    p.add_argument("--evolve", type=_numbers(2), help="omega,t: report the evolved mode parameter")
 
     p = add("highest-weight", _cmd_highest_weight,
             "ladder representation from bracket data (u, v, alpha)")
@@ -371,16 +381,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=3)
 
     p = add("irrep", _cmd_irrep, "spin-j matrices: dimension, weights, Casimir")
-    p.add_argument("--j", required=True, help="spin as integer or fraction, e.g. 3/2")
+    p.add_argument("--j", type=_spin, required=True, help="spin as integer or fraction, e.g. 3/2")
 
     p = add("cg", _cmd_cg, "tensor-product decomposition of two spins")
-    p.add_argument("--k", required=True)
-    p.add_argument("--l", required=True)
+    p.add_argument("--k", type=_spin, required=True)
+    p.add_argument("--l", type=_spin, required=True)
     p.add_argument("--full", action="store_true", help="include the isometry matrix")
 
     p = add("gibbs", _cmd_gibbs,
             "partition function, mean energy and entropy of a canonical state")
-    p.add_argument("--levels", help="comma-separated energy levels (diagonal H)")
+    p.add_argument("--levels", type=_numbers(), help="comma-separated energy levels (diagonal H)")
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
     p.add_argument("--beta", type=float, required=True)
 
@@ -420,11 +430,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        _write(args, args.handler(args))
     except DomainError as err:
         print(err.token, file=sys.stderr)
         return 1
-    _write(args, text)
+    except OSError:
+        print("io_error", file=sys.stderr)
+        return 1
     return 0
 
 

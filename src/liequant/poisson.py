@@ -11,6 +11,7 @@ with fixed-step classical RK4.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,9 +226,16 @@ def euler_rhs(state: RigidBodyState) -> tuple:
 
 
 def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int):
-    """Classical fixed-step RK4 trajectory, including the initial state."""
+    """Classical fixed-step RK4 trajectory, including the initial state.
+
+    Step k is stamped t0 + k*dt, so the clock carries no accumulated
+    roundoff.  A negative dt integrates backwards in time; a zero or
+    non-finite dt is rejected with ``bad_dt``.
+    """
     if steps < 0:
         raise DomainError("bad_steps", "steps must be nonnegative")
+    if not math.isfinite(dt) or dt == 0:
+        raise DomainError("bad_dt", "dt must be finite and nonzero")
     inertia = s0.I
 
     def rhs(j):
@@ -236,16 +244,14 @@ def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int):
 
     out = [s0]
     j = s0.J
-    t = s0.t
-    for _ in range(steps):
+    for k in range(1, steps + 1):
         k1 = rhs(j)
         k2 = rhs(tuple(j[i] + 0.5 * dt * k1[i] for i in range(3)))
         k3 = rhs(tuple(j[i] + 0.5 * dt * k2[i] for i in range(3)))
         k4 = rhs(tuple(j[i] + dt * k3[i] for i in range(3)))
         j = tuple(j[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
                   for i in range(3))
-        t += dt
-        out.append(RigidBodyState(j, inertia, t))
+        out.append(RigidBodyState(j, inertia, s0.t + k * dt))
     return out
 
 

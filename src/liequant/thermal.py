@@ -129,10 +129,15 @@ def schottky_capacity(e_gap: float, temperature: float,
     return (e_gap**2 / (consts.kbar * temperature**2)) * sech_half**2
 
 
+def _w_from_eigs(w: np.ndarray) -> float:
+    """-log sum_n e^{-w_n} for ascending w, evaluated in log space."""
+    return float(w[0] - math.log(np.sum(np.exp(-(w - w[0])))))
+
+
 def generating_functional(f) -> float:
     """W(f) = -log tr e^{-f} for Hermitian f, evaluated in log space."""
     w, _ = _hermitian_eigs(f, "f")
-    return float(w[0] - math.log(np.sum(np.exp(-(w - w[0])))))
+    return _w_from_eigs(w)
 
 
 def _phi_grid(x: np.ndarray) -> np.ndarray:
@@ -170,8 +175,8 @@ def gibbs_bogoliubov_gap(f, g) -> float:
     g = as_square(g, "g")
     if f.shape != g.shape:
         raise DomainError("shape", "f and g must have equal dimension")
-    state = GibbsState(f, 1.0)
-    return generating_functional(f) + state.value(g - f).real - generating_functional(g)
+    state = GibbsState(f, 1.0)  # the state's eigenvalues of f also give W(f)
+    return _w_from_eigs(state._w) + state.value(g - f).real - generating_functional(g)
 
 
 def limit_resolution(state: GibbsState, g) -> float:

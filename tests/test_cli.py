@@ -1,10 +1,14 @@
 """CLI contract: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import liequant
 from liequant.cli import main
 
 
@@ -12,6 +16,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_process(*argv, cwd=None):
+    """Run ``python -m liequant.cli`` and return (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liequant.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "liequant.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestBasicCommands:
@@ -153,3 +167,46 @@ class TestContract:
         code, out, _ = run_cli(capsys, "wien", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["x"] > 2.8
+
+
+class TestBadInput:
+    """Malformed input ends in a usage error (2) or a token (1), never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("rotate", "--vector", "abc"),
+        ("rotate", "--vector=1,2"),
+        ("irrep", "--j", "x"),
+        ("cg", "--k", "1/0", "--l", "1"),
+        ("coherent", "--z", "1"),
+        ("gibbs", "--levels", "0,one", "--beta", "1"),
+    ])
+    def test_unparsable_argument_is_usage_error(self, argv):
+        code, out, err = run_process(*argv)
+        assert code == 2
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("euler", "--in", "missing.json"),
+        ("gibbs", "--in", "missing.json", "--beta", "1"),
+        ("assign", "--data", "missing.csv", "--levels", "missing.json"),
+        ("wien", "--out", "no_such_dir/w.json"),
+    ])
+    def test_unreadable_file_is_io_error(self, argv, tmp_path):
+        code, out, err = run_process(*argv, cwd=tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "io_error"
+
+    def test_rigidbody_nan_dt(self):
+        code, out, err = run_process("rigidbody", "--inertia", "1,2,3", "--j0", "1,0.5,0.2",
+                                     "--dt", "nan", "--steps", "3")
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "bad_dt"
+
+    def test_rigidbody_clock(self, capsys):
+        code, out, _ = run_cli(capsys, "rigidbody", "--inertia=1,2,3", "--j0=1,0.5,0.2",
+                               "--steps", "10000")
+        assert code == 0
+        assert out.rstrip("\n").rsplit("\n", 1)[1].split(",")[0] == "10"

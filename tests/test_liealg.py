@@ -181,6 +181,18 @@ class TestSemisimple:
         basis = LieAlgebraBasis("abelian", ("x", "y"), np.zeros((2, 2, 2)))
         assert not is_semisimple(basis)
 
+    # gl(n) has a centre; sl, so (p+q >= 3) and sp are simple or a sum of simples
+    @pytest.mark.parametrize("name, expected", [
+        *((f"gl({n})", False) for n in range(1, 7)),
+        ("heisenberg_t3", False),
+        ("oscillator_os1", False),
+        *((f"sl({n})", True) for n in range(2, 7)),
+        *((f"so({p},{n - p})", True) for n in range(3, 7) for p in range(n + 1)),
+        *((f"sp({n})", True) for n in (2, 4, 6, 8)),
+    ])
+    def test_builtin_verdicts(self, name, expected):
+        assert is_semisimple(builtin_algebra(name)[0]) is expected
+
 
 class TestWeyl:
     def test_heisenberg_pair(self):

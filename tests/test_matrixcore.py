@@ -172,3 +172,57 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="not_hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _oracle_case(kind, n):
+    rng = np.random.default_rng(1000 + n)
+    if kind == "dense":
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return (x + x.conj().T) / 2
+    if kind == "degenerate":
+        # three-fold clusters hidden by a random unitary
+        levels = np.repeat(rng.standard_normal((n + 2) // 3), 3)[:n]
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return q @ np.diag(levels) @ q.conj().T
+    return np.diag(rng.standard_normal(n))
+
+
+class TestEigHermitianOracle:
+    @pytest.mark.parametrize("kind", ["dense", "degenerate", "diagonal"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_eigenvalues_match_scipy(self, kind, n):
+        linalg = pytest.importorskip("scipy.linalg")
+        h = _oracle_case(kind, n)
+        w, v = eig_hermitian(h)
+        ref = linalg.eigvalsh(0.5 * (h + h.conj().T))
+        scale = 1.0 + np.linalg.norm(h)
+        assert np.max(np.abs(w - ref)) <= 1e-12 * scale
+        assert np.all(np.diff(w) >= 0)
+        assert np.linalg.norm(h @ v - v * w) <= 1e-12 * scale
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-12
+
+    def test_certificate_rejects_bad_eigenvectors(self, monkeypatch):
+        h = _oracle_case("dense", 7)
+        real_eigh = np.linalg.eigh
+
+        def perturbed(a):
+            w, v = real_eigh(a)
+            return w, v + 1e-6 * np.ones_like(v)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed)
+        with pytest.raises(DomainError, match="eig_certificate"):
+            eig_hermitian(h)
+
+    def test_certificate_rejects_bad_eigenvalues(self, monkeypatch):
+        h = _oracle_case("dense", 7)
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (real_eigh(a)[0] + 1e-6, real_eigh(a)[1]))
+        with pytest.raises(DomainError, match="eig_certificate"):
+            eig_hermitian(h)
+
+    @pytest.mark.parametrize("kind", ["dense", "degenerate"])
+    def test_bitwise_repeatable(self, kind):
+        h = _oracle_case(kind, 40)
+        w1, v1 = eig_hermitian(h)
+        w2, v2 = eig_hermitian(h.copy())
+        assert np.array_equal(w1, w2) and np.array_equal(v1, v2)

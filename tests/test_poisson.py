@@ -144,6 +144,18 @@ class TestIntegrator:
         back = integrate_rigid_body(fwd, -1e-3, 10_000)[-1]
         assert max(abs(a - b) for a, b in zip(back.J, s0.J)) <= 1e-7
 
+    def test_clock_is_exact_multiple_of_dt(self):
+        s0 = RigidBodyState((1.0, 0.5, 0.2), (1.0, 2.0, 3.0))
+        traj = integrate_rigid_body(s0, 1e-3, 10_000)
+        assert traj[-1].t == 10.0
+        assert all(s.t == k * 1e-3 for k, s in enumerate(traj))
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_rejects_bad_dt(self, dt):
+        s0 = RigidBodyState((1.0, 0.5, 0.2), (1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match="bad_dt"):
+            integrate_rigid_body(s0, dt, 3)
+
     def test_zero_steps(self):
         s0 = RigidBodyState((1.0, 0.0, 0.0), (1.0, 2.0, 3.0))
         assert integrate_rigid_body(s0, 1e-3, 0) == [s0]

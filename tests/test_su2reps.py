@@ -131,6 +131,22 @@ class TestClebschGordan:
         _, iso2 = clebsch_gordan(1, 1)
         assert np.array_equal(iso1, iso2)
 
+    @pytest.mark.parametrize("twok", range(5))
+    @pytest.mark.parametrize("twol", range(5))
+    def test_condon_shortley_against_sympy(self, twok, twol):
+        cg_module = pytest.importorskip("sympy.physics.quantum.cg")
+        k, l = Fraction(twok, 2), Fraction(twol, 2)
+        _, iso = clebsch_gordan(k, l)
+        # rows: product basis |k m1> (x) |l m2>, m1 and m2 descending;
+        # columns: coupled |j m>, j descending, m descending inside each block
+        coupled = [(Fraction(twoj, 2), Fraction(twoj, 2) - i)
+                   for twoj in range(twok + twol, abs(twok - twol) - 1, -2)
+                   for i in range(twoj + 1)]
+        product = [(k - a, l - b) for a in range(twok + 1) for b in range(twol + 1)]
+        ref = np.array([[float(cg_module.CG(k, m1, l, m2, j, m).doit()) for j, m in coupled]
+                        for m1, m2 in product])
+        assert np.max(np.abs(iso - ref)) <= 1e-12
+
 
 class TestExponentials:
     def test_unitarity_of_hermitian_exponentials(self):

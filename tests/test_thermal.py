@@ -215,6 +215,21 @@ class TestGibbsBogoliubov:
             f, g = random_hermitian(rng, 4), random_hermitian(rng, 4)
             assert gibbs_bogoliubov_gap(f, g) >= -1e-10
 
+    def test_two_eigensolves(self, monkeypatch):
+        # one decomposition of f serves both the state and W(f); one of g gives W(g)
+        from liequant import thermal
+
+        calls = []
+        real_eig = thermal.eig_hermitian
+        monkeypatch.setattr(thermal, "eig_hermitian", lambda h: calls.append(h) or real_eig(h))
+        rng = np.random.default_rng(84)
+        f, g = random_hermitian(rng, 5), random_hermitian(rng, 5)
+        gap = gibbs_bogoliubov_gap(f, g)
+        assert len(calls) == 2
+        expected = (generating_functional(f) + GibbsState(f, 1.0).value(g - f).real
+                    - generating_functional(g))
+        assert gap == expected
+
 
 class TestCumulantAndKMS:
     def test_second_order_cumulant_remainder(self):
