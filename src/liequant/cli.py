@@ -5,7 +5,8 @@ formats floats with 17 significant digits for exact round-trips, and is
 deterministic for a fixed argv and seed (``--seed`` or the LIEQUANT_SEED
 environment variable).  Exit codes: 0 success, 1 domain error (the error
 token is printed; ``io_error`` when an input or output file cannot be
-opened), 2 usage error (including numbers or spins that do not parse).
+opened, ``bad_input`` when an input file's contents do not parse), 2
+usage error (including numbers or spins that do not parse).
 """
 
 from __future__ import annotations
@@ -24,19 +25,12 @@ from .errors import DomainError
 from .poisson import RigidBodyState, integrate_rigid_body, trajectory_csv
 
 
-def _fmt(x) -> float:
-    """Round-trip float: parse of the 17-digit repr is exact."""
-    return float(f"{float(x):.17g}")
-
-
 def _jdump(obj) -> str:
     def default(o):
         if isinstance(o, complex):
-            return [_fmt(o.real), _fmt(o.imag)]
+            return [o.real, o.imag]
         if isinstance(o, np.ndarray):
             return o.tolist()
-        if isinstance(o, (np.floating, float)):
-            return _fmt(o)
         if isinstance(o, np.integer):
             return int(o)
         raise TypeError(f"not serializable: {type(o)}")
@@ -73,6 +67,15 @@ def _spin(text: str) -> str:
     return text
 
 
+def _json_array(path: str, key: str) -> np.ndarray:
+    """Field ``key`` of the JSON object in file ``path``, as a float array."""
+    with open(path) as fh:
+        try:
+            return np.array(json.load(fh)[key], dtype=float)
+        except (ValueError, KeyError, TypeError) as err:
+            raise DomainError("bad_input", f"{path}: no numeric field {key!r}") from err
+
+
 def _matrix_arg(args) -> np.ndarray:
     if args.matrix:
         n = int(round(math.sqrt(len(args.matrix))))
@@ -80,10 +83,7 @@ def _matrix_arg(args) -> np.ndarray:
             raise DomainError("shape", "--matrix needs n*n comma-separated entries")
         return np.array(args.matrix).reshape(n, n)
     if args.infile:
-        with open(args.infile) as fh:
-            data = json.load(fh)
-        m = np.array(data["matrix"], dtype=float)
-        return m
+        return _json_array(args.infile, "matrix")
     raise DomainError("missing_input", "provide --matrix or --in")
 
 
@@ -118,9 +118,9 @@ def _cmd_rotate(args) -> str:
         rot = rotations.rodrigues(np.array(args.vector))
     else:
         raise DomainError("missing_input", "provide --axis/--angle or --vector")
-    out = {"matrix": [[_fmt(x) for x in row] for row in rot.m]}
+    out = {"matrix": rot.m.tolist()}
     if args.apply:
-        out["image"] = [_fmt(x) for x in rot.apply(np.array(args.apply))]
+        out["image"] = rot.apply(np.array(args.apply)).tolist()
     return _jdump(out)
 
 
@@ -169,7 +169,7 @@ def _cmd_algebra_verify(args) -> str:
         "jacobi_residual": liealg.verify_jacobi(basis),
         "realization_residual": real.consistency_residual(),
         "semisimple": liealg.is_semisimple(basis),
-        "killing_form": [[_fmt(x) for x in row] for row in np.real(kf)],
+        "killing_form": np.real(kf).tolist(),
     }
     if args.dump:
         out["basis"] = json.loads(basis.to_json())
@@ -186,7 +186,7 @@ def _cmd_fock_spectrum(args) -> str:
     f = fock.build_fock(args.dim, args.hbar)
     w = fock.oscillator_spectrum(f, args.omega, args.count)
     return _jdump({"dim": args.dim, "hbar": args.hbar, "omega": args.omega,
-                   "eigenvalues": [_fmt(x) for x in w]})
+                   "eigenvalues": w.tolist()})
 
 
 def _cmd_coherent(args) -> str:
@@ -204,7 +204,7 @@ def _cmd_highest_weight(args) -> str:
     data = fock.HWData(args.u, args.v, args.alpha, args.hbar)
     a, a_dag, h, verdict = fock.build_highest_weight(data, args.max_levels)
     out = {"u": args.u, "v": args.v, "alpha": args.alpha, "hbar": args.hbar,
-           "h_diagonal": [_fmt(x) for x in np.diag(h)]}
+           "h_diagonal": np.diag(h).tolist()}
     if isinstance(verdict, fock.FiniteVerdict):
         out["verdict"] = "finite"
         out["dim"] = verdict.dim
@@ -229,15 +229,15 @@ def _cmd_irrep(args) -> str:
     rep = build_irrep(Fraction(args.j))
     cas = casimir(rep)
     return _jdump({"j": args.j, "dim": rep.dim,
-                   "t3_diagonal": [_fmt(x) for x in np.diag(rep.t3).real],
-                   "casimir_value": _fmt(np.real(cas[0, 0])) if rep.dim else 0.0})
+                   "t3_diagonal": np.diag(rep.t3).real.tolist(),
+                   "casimir_value": float(np.real(cas[0, 0])) if rep.dim else 0.0})
 
 
 def _cmd_cg(args) -> str:
     from .su2reps import clebsch_gordan
     summands, iso = clebsch_gordan(Fraction(args.k), Fraction(args.l))
     out = {"k": args.k, "l": args.l,
-           "summands": [{"j": _fmt(j), "multiplicity": m} for j, m in summands],
+           "summands": [{"j": j, "multiplicity": m} for j, m in summands],
            "dimension_check": int(sum(int(2 * j) + 1 for j, _ in summands))}
     if args.full:
         out["isometry"] = [[complex(v) for v in row] for row in iso]
@@ -248,8 +248,7 @@ def _cmd_gibbs(args) -> str:
     if args.levels:
         h = np.diag(args.levels)
     elif args.infile:
-        with open(args.infile) as fh:
-            h = np.array(json.load(fh)["matrix"], dtype=float)
+        h = _json_array(args.infile, "matrix")
     else:
         raise DomainError("missing_input", "provide --levels or --in")
     state = thermal.GibbsState(h, args.beta)
@@ -288,16 +287,19 @@ def _cmd_rydberg(args) -> str:
 
 
 def _cmd_assign(args) -> str:
-    raw = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
-    data = spectra.SpectrumDataset(raw[:, 0], raw[:, 1])
-    with open(args.levels) as fh:
-        init = spectra.EnergyLevels(json.load(fh)["levels"])
+    try:
+        raw = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        omega, weight = raw[:, 0], raw[:, 1]
+    except (ValueError, IndexError) as err:
+        raise DomainError("bad_input", f"{args.data}: not an omega,weight CSV") from err
+    data = spectra.SpectrumDataset(omega, weight)
+    init = spectra.EnergyLevels(_json_array(args.levels, "levels"))
     best = spectra.assign_lines_multistart(
         data, init, hbar=args.hbar, max_iters=args.max_iters,
         n_starts=max(1, args.starts), scale=args.scale,
         rng=np.random.default_rng(_seed(args)))
     return _jdump({
-        "levels": [_fmt(x) for x in best.levels],
+        "levels": best.levels.tolist(),
         "assignments": [[l + 1, int(j), int(k)] for l, (j, k)
                         in enumerate(zip(best.upper, best.lower))],
         "objective": best.objective,

@@ -22,7 +22,6 @@ __all__ = [
     "build_fermion",
     "car_residual",
     "number_spectrum",
-    "mode_smear",
 ]
 
 MAX_MODES = 12  # 2^n basis states; keep matrices dense and small
@@ -63,10 +62,6 @@ class FermionFock:
             raise DomainError("shape", "one coefficient per mode required")
         ops = self.a_dag if dagger else self.a
         return sum(u[j] * ops[j] for j in range(self.n_modes))
-
-
-def mode_smear(f: FermionFock, u, dagger: bool = False) -> np.ndarray:
-    return f.smeared(u, dagger)
 
 
 def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:

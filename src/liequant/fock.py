@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import eig_hermitian
+from .matrixcore import eig_hermitian, kron_embed
 
 __all__ = [
     "HBAR_SI",
@@ -95,16 +95,8 @@ def tensor_modes(focks) -> list:
     focks = list(focks)
     if not 1 <= len(focks) <= 3:
         raise DomainError("mode_cap", "tensor products support 1..3 modes")
-    eyes = [np.eye(f.dim) for f in focks]
-
-    def embed(op, slot):
-        factors = [op if i == slot else eyes[i] for i in range(len(focks))]
-        out = factors[0]
-        for factor in factors[1:]:
-            out = np.kron(out, factor)
-        return out
-
-    return [(embed(f.a, i), embed(f.a_dag, i)) for i, f in enumerate(focks)]
+    dims = [f.dim for f in focks]
+    return [(kron_embed(f.a, i, dims), kron_embed(f.a_dag, i, dims)) for i, f in enumerate(focks)]
 
 
 def oscillator_spectrum(f: BosonFock, omega: float, count: int) -> np.ndarray:

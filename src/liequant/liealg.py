@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import DEFAULT_TOL, Tolerance, commutator, expm
+from .matrixcore import DEFAULT_TOL, Tolerance, as_square, commutator, expm
 
 __all__ = [
     "LieAlgebraBasis",
@@ -31,7 +31,7 @@ __all__ = [
     "weyl_check",
 ]
 
-DIM_CAP = 64  # dense c tensor is dim^3; every case of interest is tiny
+DIM_CAP = 64  # dense c is dim^3 and the bracket tensor dim^2 n^2 entries
 
 
 @dataclass(frozen=True)
@@ -104,29 +104,26 @@ class MatrixRealization:
             raise DomainError("bad_convention", self.product_convention)
         if self.hbar <= 0:
             raise DomainError("bad_hbar", "hbar must be positive")
-        if len(self.mats) != self.basis.dim:
-            raise DomainError("shape", "one matrix per generator required")
-        object.__setattr__(self, "mats", tuple(np.asarray(m, dtype=complex) for m in self.mats))
+        mats = tuple(as_square(m) for m in self.mats)
+        if len(mats) != self.basis.dim or len({m.shape for m in mats}) > 1:
+            raise DomainError("shape", "one square matrix per generator, all of one size")
+        object.__setattr__(self, "mats", mats)
+
+    @property
+    def _scale(self) -> complex:
+        return 1j / self.hbar if self.product_convention == "quantum" else 1
 
     def bracket(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        com = commutator(a, b)
-        if self.product_convention == "quantum":
-            return (1j / self.hbar) * com
-        return com
+        return self._scale * commutator(a, b)
 
     def consistency_residual(self) -> float:
         """Max deviation of the realized bracket from the structure constants."""
-        worst = 0.0
-        for j in range(self.basis.dim):
-            for k in range(self.basis.dim):
-                lhs = self.bracket(self.mats[j], self.mats[k])
-                rhs = sum(self.basis.c[j, k, l] * self.mats[l] for l in range(self.basis.dim))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-        return worst
+        mats = np.stack(self.mats)
+        lhs = self._scale * _commutators(mats)
+        return float(np.max(np.abs(lhs - np.tensordot(self.basis.c, mats, axes=(2, 0)))))
 
     def element(self, coords) -> np.ndarray:
-        coords = np.asarray(coords)
-        return sum(coords[j] * self.mats[j] for j in range(self.basis.dim))
+        return np.tensordot(np.asarray(coords), np.stack(self.mats), axes=(0, 0))
 
 
 def verify_jacobi(basis: LieAlgebraBasis) -> float:
@@ -190,33 +187,33 @@ def _pauli():
 
 def _epsilon_tensor() -> np.ndarray:
     c = np.zeros((3, 3, 3))
-    for j, k, l, sgn in [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                         (1, 0, 2, -1), (2, 1, 0, -1), (0, 2, 1, -1)]:
-        c[j, k, l] = sgn
+    c[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0   # cyclic (j, k, l)
+    c[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0  # anticyclic
     return c
 
 
-def _expand_in_basis(mats, target) -> np.ndarray:
-    """Coordinates of target in span(mats), via least squares on flattened entries."""
-    a = np.stack([m.ravel() for m in mats], axis=1)
-    coef, _, _, _ = np.linalg.lstsq(a, target.ravel(), rcond=None)
-    resid = float(np.max(np.abs(a @ coef - target.ravel())))
-    if resid > 1e-9:
-        raise DomainError("not_closed", f"bracket left the span (residual {resid:.2e})")
-    return coef
+def _commutators(mats: np.ndarray) -> np.ndarray:
+    """All commutators [M_j, M_k] of a (d, n, n) stack, as a (d, d, n, n) tensor."""
+    prod = mats[:, None] @ mats[None, :]
+    return prod - prod.swapaxes(0, 1)
 
 
-def _constants_from_matrices(mats) -> np.ndarray:
-    dim = len(mats)
-    c = np.zeros((dim, dim, dim), dtype=complex)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            coef = _expand_in_basis(mats, commutator(mats[j], mats[k]))
-            c[j, k, :] = coef
-            c[k, j, :] = -coef
-    if np.max(np.abs(c.imag)) <= 1e-12:
-        c = c.real.copy()
-    return c
+def _bracket_coords(mats: np.ndarray):
+    """Coordinates of every [M_j, M_k] in span(M), from one least-squares solve.
+
+    Returns ``(coef, resid)``: [M_j, M_k] = sum_l coef[j, k, l] M_l up to
+    ``resid``, the largest residual entry.  Only the pairs j < k are
+    solved, so that coef[k, j] = -coef[j, k] holds exactly.
+    """
+    d = mats.shape[0]
+    upper = np.triu_indices(d, 1)
+    a = mats.reshape(d, -1).T
+    b = _commutators(mats)[upper].reshape(-1, a.shape[0]).T
+    sol = np.linalg.lstsq(a, b, rcond=None)[0]
+    coef = np.zeros((d, d, d), dtype=sol.dtype)
+    coef[upper] = sol.T
+    coef[upper[::-1]] = -sol.T
+    return coef, float(np.max(np.abs(a @ sol - b), initial=0.0))
 
 
 def _gl_basis(n: int):
@@ -285,6 +282,36 @@ BUILTIN_NAMES = ("so3", "su2", "heisenberg_t3", "oscillator_os1",
 _PAREN = re.compile(r"^(gl|sl|sp|so)\(([0-9]+(?:,[0-9]+)?)\)$")
 
 
+def _family_basis(key: str):
+    """Generator names and matrices of gl(n), sl(n), so(p,q) or sp(2n)."""
+    m = _PAREN.match(key)
+    if not m:
+        raise DomainError("unknown_algebra", key)
+    family, args = m.group(1), [int(x) for x in m.group(2).split(",")]
+    n = sum(args)
+    if family == "so" and len(args) == 2:
+        if n < 2:
+            raise DomainError("bad_size", "so(p,q) needs p+q >= 2")
+        dim, build = n * (n - 1) // 2, lambda: _so_pq_basis(*args)
+    elif family == "gl" and len(args) == 1:
+        if n < 1:
+            raise DomainError("bad_size", "gl(n) needs n >= 1")
+        dim, build = n * n, lambda: _gl_basis(n)
+    elif family == "sl" and len(args) == 1:
+        if n < 2:
+            raise DomainError("bad_size", "sl(n) needs n >= 2")
+        dim, build = n * n - 1, lambda: _sl_basis(n)
+    elif family == "sp" and len(args) == 1:
+        if n < 2 or n % 2:
+            raise DomainError("bad_size", "sp(2n) needs an even size >= 2")
+        dim, build = n * (n + 1) // 2, lambda: _sp_basis(n // 2)
+    else:
+        raise DomainError("unknown_algebra", key)
+    if dim > DIM_CAP:  # checked before any matrix is built
+        raise DomainError("dim_cap", f"dimension {dim} exceeds cap {DIM_CAP}")
+    return build()
+
+
 def builtin_algebra(name: str):
     """Return (LieAlgebraBasis, MatrixRealization) for a named algebra.
 
@@ -294,25 +321,16 @@ def builtin_algebra(name: str):
     """
     key = name.replace(" ", "")
     if key == "so3":
-        c = _epsilon_tensor()
-        mats = _hat_basis()
-        basis = LieAlgebraBasis("so3", ("J1", "J2", "J3"), c)
-        return basis, MatrixRealization(basis, tuple(mats))
-    if key == "su2":
+        names, mats, c = ("J1", "J2", "J3"), _hat_basis(), _epsilon_tensor()
+    elif key == "su2":
         # generators sigma_k/(2i) share the epsilon constants with so3
-        c = _epsilon_tensor()
-        mats = [s / 2j for s in _pauli()]
-        basis = LieAlgebraBasis("su2", ("t1", "t2", "t3"), c)
-        return basis, MatrixRealization(basis, tuple(mats))
-    if key == "heisenberg_t3":
-        names = ("p", "q", "one")
-        mats = [_e(3, 0, 1), _e(3, 1, 2), _e(3, 0, 2)]
+        names, mats, c = ("t1", "t2", "t3"), [s / 2j for s in _pauli()], _epsilon_tensor()
+    elif key == "heisenberg_t3":
+        names, mats = ("p", "q", "one"), [_e(3, 0, 1), _e(3, 1, 2), _e(3, 0, 2)]
         c = np.zeros((3, 3, 3))
         c[0, 1, 2] = 1.0
         c[1, 0, 2] = -1.0
-        basis = LieAlgebraBasis("heisenberg_t3", names, c)
-        return basis, MatrixRealization(basis, tuple(mats))
-    if key == "oscillator_os1":
+    elif key == "oscillator_os1":
         names = ("one", "a", "a_dag", "n")
         mats = [_e(3, 0, 2), _e(3, 0, 1), _e(3, 1, 2),
                 np.diag([0.0, 1.0, 0.0]).astype(complex)]
@@ -323,31 +341,12 @@ def builtin_algebra(name: str):
         c[3, 1, 1] = -1.0
         c[2, 3, 2] = -1.0  # a* <| n = -a*
         c[3, 2, 2] = 1.0
-        basis = LieAlgebraBasis("oscillator_os1", names, c)
-        return basis, MatrixRealization(basis, tuple(mats))
-    m = _PAREN.match(key)
-    if m:
-        family, args = m.group(1), [int(x) for x in m.group(2).split(",")]
-        if family == "so" and len(args) == 2:
-            p, q = args
-            if p + q < 2:
-                raise DomainError("bad_size", "so(p,q) needs p+q >= 2")
-            names, mats = _so_pq_basis(p, q)
-        elif family == "gl" and len(args) == 1:
-            if args[0] < 1:
-                raise DomainError("bad_size", "gl(n) needs n >= 1")
-            names, mats = _gl_basis(args[0])
-        elif family == "sl" and len(args) == 1:
-            if args[0] < 2:
-                raise DomainError("bad_size", "sl(n) needs n >= 2")
-            names, mats = _sl_basis(args[0])
-        elif family == "sp" and len(args) == 1:
-            if args[0] < 2 or args[0] % 2:
-                raise DomainError("bad_size", "sp(2n) needs an even size >= 2")
-            names, mats = _sp_basis(args[0] // 2)
-        else:
-            raise DomainError("unknown_algebra", name)
-        c = _constants_from_matrices(mats)
-        basis = LieAlgebraBasis(key, tuple(names), c)
-        return basis, MatrixRealization(basis, tuple(mats))
-    raise DomainError("unknown_algebra", name)
+    else:
+        names, mats = _family_basis(key)
+        c, resid = _bracket_coords(np.stack(mats))
+        if resid > 1e-9:
+            raise DomainError("not_closed", f"bracket left the span (residual {resid:.2e})")
+        if np.max(np.abs(c.imag)) <= 1e-12:
+            c = c.real.copy()
+    basis = LieAlgebraBasis(key, tuple(names), c)
+    return basis, MatrixRealization(basis, tuple(mats))

@@ -12,6 +12,7 @@ unitarity defect of the eigenvectors are checked against a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,6 +24,7 @@ __all__ = [
     "as_square",
     "commutator",
     "anticommutator",
+    "kron_embed",
     "expm",
     "is_hermitian",
     "is_antihermitian",
@@ -82,6 +84,15 @@ def anticommutator(a, b) -> np.ndarray:
     b = as_square(b, "b")
     _same_shape(a, b)
     return a @ b + b @ a
+
+
+def kron_embed(op, slot: int, dims) -> np.ndarray:
+    """``op`` acting on factor ``slot`` of a tensor product with factor sizes ``dims``.
+
+    Every other factor carries the identity; the factors are Kronecker
+    multiplied in order, so factor 0 is the most significant index.
+    """
+    return reduce(np.kron, [op if i == slot else np.eye(d) for i, d in enumerate(dims)])
 
 
 def expm(a) -> np.ndarray:

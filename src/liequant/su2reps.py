@@ -2,8 +2,9 @@
 
 Spins are stored as twice-spin integers internally so that half-integer
 labels never touch floating point.  The coupling coefficients are found
-numerically (eigenspaces of the quadratic invariant, then the diagonal
-generator, then a lowering cascade), not from closed-form tables.
+numerically, not from closed-form tables: each block's top state is the
+kernel of the total raising operator on its weight space, and a lowering
+cascade fills in the rest of the block.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import commutator, eig_hermitian
+from .liealg import _bracket_coords
+from .matrixcore import as_square, eig_hermitian, kron_embed
 
 __all__ = [
     "IrrepDj",
@@ -82,15 +84,6 @@ def casimir(rep: IrrepDj) -> np.ndarray:
     return rep.lplus @ rep.lminus - rep.t3 + rep.t3 @ rep.t3
 
 
-def _tensor_generators(rk: IrrepDj, rl: IrrepDj):
-    dk, dl = rk.dim, rl.dim
-    eye_k, eye_l = np.eye(dk), np.eye(dl)
-    t3 = np.kron(rk.t3, eye_l) + np.kron(eye_k, rl.t3)
-    lp = np.kron(rk.lplus, eye_l) + np.kron(eye_k, rl.lplus)
-    lm = np.kron(rk.lminus, eye_l) + np.kron(eye_k, rl.lminus)
-    return t3, lp, lm
-
-
 def _fix_phase(vec: np.ndarray) -> np.ndarray:
     """Rotate so the first component above noise is real positive."""
     for comp in vec:
@@ -106,32 +99,32 @@ def clebsch_gordan(k, l):
     ``(j, multiplicity)`` with j = k+l, k+l-1, ..., |k-l| (multiplicity 1
     throughout), and ``isometry`` maps the direct sum, ordered by
     descending j and descending m inside each block, into the tensor
-    product.  Phases follow a highest-vector-positive convention and a
-    lowering cascade, so the isometry is deterministic.
+    product, whose basis |k m1> (x) |l m2> has m1 and m2 descending.
+
+    The product basis diagonalizes t3, so the top state of block j is
+    the one-dimensional kernel of the total L+ restricted to the m = j
+    weight space, read off one SVD.  Its first component (largest m1)
+    is made real positive, the Condon-Shortley convention, and the
+    lowering cascade fixes every other phase, so the isometry is
+    deterministic.
     """
     twok, twol = _twice(k), _twice(l)
     rk, rl = build_irrep(Fraction(twok, 2)), build_irrep(Fraction(twol, 2))
-    t3, lp, lm = _tensor_generators(rk, rl)
-    jsq = lp @ lm - t3 + t3 @ t3
+    dims = (rk.dim, rl.dim)
+    lp = kron_embed(rk.lplus, 0, dims) + kron_embed(rl.lplus, 1, dims)
+    lm = lp.conj().T
+    twice_m = np.add.outer(np.arange(twok, -twok - 1, -2), np.arange(twol, -twol - 1, -2)).ravel()
     dim = rk.dim * rl.dim
-    w2, v2 = eig_hermitian(jsq)
 
     summands = []
     columns = []
     for twoj in range(twok + twol, abs(twok - twol) - 2, -2):
         jj = twoj / 2.0
         summands.append((jj, 1))
-        sel = np.where(np.abs(w2 - jj * (jj + 1)) < 1e-6)[0]
-        if sel.size != twoj + 1:
-            raise DomainError("bad_multiplicity",
-                              f"j={jj} eigenspace has size {sel.size}, want {twoj + 1}")
-        block = v2[:, sel]
-        # top state: eigenvector of t3 (restricted to the block) at m = j
-        wt, vt = eig_hermitian(block.conj().T @ t3 @ block)
-        top = np.where(np.abs(wt - jj) < 1e-6)[0]
-        if top.size != 1:
-            raise DomainError("degenerate_top", f"top state for j={jj} not isolated")
-        vec = _fix_phase(block @ vt[:, top[0]])
+        sel = np.flatnonzero(twice_m == twoj)
+        vec = np.zeros(dim, dtype=complex)
+        vec[sel] = np.linalg.svd(lp[:, sel], full_matrices=False)[2][-1].conj()
+        vec = _fix_phase(vec)
         columns.append(vec)
         for _ in range(twoj):
             vec = lm @ vec
@@ -181,16 +174,6 @@ def spinor_metric(s) -> np.ndarray:
     return np.array([1.0 / math.comb(twos, k) for k in range(twos + 1)])
 
 
-def _closure_check(mats, tol: float = 1e-8):
-    basis = np.stack([m.ravel() for m in mats], axis=1)
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            com = commutator(mats[i], mats[j]).ravel()
-            coef, _, _, _ = np.linalg.lstsq(basis, com, rcond=None)
-            if np.max(np.abs(basis @ coef - com)) > tol:
-                raise DomainError("not_subalgebra", "commutator leaves the span")
-
-
 def decompose_restriction(sub_mats, tol: float = 1e-8):
     """Irreducible block sizes of a representation restricted to a subalgebra.
 
@@ -200,27 +183,23 @@ def decompose_restriction(sub_mats, tol: float = 1e-8):
     form T_ij = tr(S_i S_j); sizes are returned descending and sum to the
     ambient dimension.
     """
-    mats = [np.asarray(m, dtype=complex) for m in sub_mats]
+    mats = [as_square(m) for m in sub_mats]
     if not mats:
         raise DomainError("not_subalgebra", "no generators given")
-    _closure_check(mats, tol)
-    r = len(mats)
-    trace_form = np.array([[np.trace(mats[i] @ mats[j]) for j in range(r)] for i in range(r)])
+    mats = np.stack(mats)
+    if _bracket_coords(mats)[1] > tol:
+        raise DomainError("not_subalgebra", "commutator leaves the span")
+    trace_form = np.einsum("iab,jba->ij", mats, mats)
     if abs(np.linalg.det(trace_form)) < 1e-12:
         raise DomainError("not_subalgebra", "degenerate trace form, no quadratic invariant")
-    inv = np.linalg.inv(trace_form)
-    dim = mats[0].shape[0]
-    cas = np.zeros((dim, dim), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            cas += inv[i, j] * (mats[i] @ mats[j])
-    for m in mats:
-        if np.max(np.abs(commutator(cas, m))) > 1e-8:
-            raise DomainError("not_subalgebra", "invariant fails to commute")
+    # sum_ij (T^-1)_ij S_i S_j = sum_i S_i Y_i with Y_i = sum_j (T^-1)_ij S_j
+    cas = (mats @ np.tensordot(np.linalg.inv(trace_form), mats, axes=(1, 0))).sum(axis=0)
+    if np.max(np.abs(cas @ mats - mats @ cas)) > 1e-8:
+        raise DomainError("not_subalgebra", "invariant fails to commute")
     w, _ = eig_hermitian(0.5 * (cas + cas.conj().T))
     blocks = []
     cluster = 1
-    for i in range(1, dim):
+    for i in range(1, len(w)):
         if abs(w[i] - w[i - 1]) < 1e-6 * max(1.0, abs(w[i])):
             cluster += 1
         else:

@@ -70,8 +70,8 @@ def _hermitian_eigs(h, what: str):
 
 def partition_function(h, beta: float) -> float:
     """Z = tr e^{-beta H} = sum_n e^{-beta E_n}, min-shifted for stability."""
-    if beta <= 0:
-        raise DomainError("bad_beta", "beta must be positive")
+    if not 0 < beta < math.inf:  # also rejects NaN
+        raise DomainError("bad_beta", "beta must be positive and finite")
     w, _ = _hermitian_eigs(h, "H")
     shifted = beta * (w - w[0])
     # deep tails merely underflow; only e^{-beta E_min} can overflow
@@ -84,8 +84,8 @@ class GibbsState:
     """Canonical state <g> = tr(e^{-beta H} g)/Z for Hermitian H."""
 
     def __init__(self, h, beta: float):
-        if beta <= 0:
-            raise DomainError("bad_beta", "beta must be positive")
+        if not 0 < beta < math.inf:  # also rejects NaN
+            raise DomainError("bad_beta", "beta must be positive and finite")
         self.h = as_square(h, "H")
         self.beta = float(beta)
         self._w, self._v = _hermitian_eigs(self.h, "H")

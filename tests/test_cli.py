@@ -198,6 +198,28 @@ class TestBadInput:
         assert out == ""
         assert err.strip() == "io_error"
 
+    @pytest.mark.parametrize("files, argv, token", [
+        ({"m.json": "{bad"}, ("euler", "--in", "m.json"), "bad_input"),
+        ({"m.json": '{"levels": [1]}'}, ("euler", "--in", "m.json"), "bad_input"),
+        ({"m.json": '{"levels": [1]}'}, ("gibbs", "--in", "m.json", "--beta", "1"), "bad_input"),
+        ({"m.json": '{"matrix": [[1, 2], [3]]}'}, ("lift", "--in", "m.json"), "bad_input"),
+        ({"d.csv": "omega,weight\nx,y\n", "l.json": '{"levels": [0, 1]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": "[0, 1]"},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        ({}, ("gibbs", "--levels=0,1", "--beta", "nan"), "bad_beta"),
+        ({}, ("gibbs", "--levels=0,1", "--beta", "inf"), "bad_beta"),
+        *(({}, ("algebra-verify", "--name", name), "dim_cap")
+          for name in ("gl(9)", "gl(1000)", "sl(9)", "so(6,6)", "sp(12)")),
+    ])
+    def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code, out, err = run_process(*argv, cwd=tmp_path)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == token
+
     def test_rigidbody_nan_dt(self):
         code, out, err = run_process("rigidbody", "--inertia", "1,2,3", "--j0", "1,0.5,0.2",
                                      "--dt", "nan", "--steps", "3")

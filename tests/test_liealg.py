@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from liequant import liealg
 from liequant.errors import DomainError
 from liequant.liealg import (
+    DIM_CAP,
     LieAlgebraBasis,
+    MatrixRealization,
     builtin_algebra,
     is_semisimple,
     killing_form,
@@ -16,6 +19,39 @@ from liequant.liealg import (
 ALL_BUILTINS = ["so3", "su2", "heisenberg_t3", "oscillator_os1",
                 "gl(2)", "gl(3)", "sl(2)", "sl(3)", "so(3,0)", "so(3,1)",
                 "so(2,1)", "sp(2)", "sp(4)"]
+
+
+# every family at every size up to DIM_CAP; so(p,q) compact and split
+UP_TO_CAP = (["so3", "su2", "heisenberg_t3", "oscillator_os1"]
+             + [f"gl({n})" for n in range(1, 9)] + [f"sl({n})" for n in range(2, 9)]
+             + [f"so({p},{n - p})" for n in range(2, 12) for p in sorted({n, n // 2})]
+             + [f"sp({n})" for n in range(2, 11, 2)])
+
+
+def pairwise_constants(mats):
+    """Oracle: one least-squares expansion of [M_j, M_k] per pair j < k."""
+    d = len(mats)
+    a = np.stack([m.ravel() for m in mats], axis=1)
+    c = np.zeros((d, d, d), dtype=complex)
+    for j in range(d):
+        for k in range(j + 1, d):
+            com = (mats[j] @ mats[k] - mats[k] @ mats[j]).ravel()
+            coef = np.linalg.lstsq(a, com, rcond=None)[0]
+            c[j, k, :] = coef
+            c[k, j, :] = -coef
+    return c
+
+
+def pairwise_consistency(real):
+    """Oracle: realized bracket of each pair against sum_l c[j,k,l] M_l."""
+    c, mats, d = real.basis.c, real.mats, real.basis.dim
+    worst = 0.0
+    for j in range(d):
+        for k in range(d):
+            lhs = real.bracket(mats[j], mats[k])
+            rhs = sum(c[j, k, l] * mats[l] for l in range(d))
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def brute_killing(basis):
@@ -83,6 +119,42 @@ class TestBuiltins:
         assert basis.antisymmetry_residual() == 0.0
         assert verify_jacobi(basis) <= 1e-12
         assert real.consistency_residual() <= 1e-10
+
+    @pytest.mark.parametrize("name", UP_TO_CAP)
+    def test_batched_against_pairwise_oracles(self, name):
+        basis, real = builtin_algebra(name)
+        assert basis.dim <= DIM_CAP
+        assert np.max(np.abs(basis.c - pairwise_constants(real.mats))) <= 1e-12
+        assert abs(real.consistency_residual() - pairwise_consistency(real)) <= 1e-12
+        coords = np.arange(1.0, basis.dim + 1) / basis.dim
+        loop = sum(coords[j] * real.mats[j] for j in range(basis.dim))
+        assert np.max(np.abs(real.element(coords) - loop)) <= 1e-12
+
+    def test_realization_needs_square_matrices_of_one_size(self):
+        basis, _ = builtin_algebra("so3")
+        for mats in ([np.ones((2, 3))] * 3, [np.eye(2), np.eye(2), np.eye(3)], [np.eye(2)] * 2):
+            with pytest.raises(DomainError, match="shape"):
+                MatrixRealization(basis, mats)
+
+    @pytest.mark.parametrize("convention", ["commutator", "quantum"])
+    def test_consistency_of_a_wrong_tensor(self, convention):
+        # a perturbed tensor gives a residual of order one in both computations
+        basis, real = builtin_algebra("sl(3)")
+        rng = np.random.default_rng(5)
+        wrong = LieAlgebraBasis("wrong", basis.names, basis.c + rng.standard_normal(basis.c.shape))
+        wrong_real = MatrixRealization(wrong, real.mats, convention, hbar=0.7)
+        got = wrong_real.consistency_residual()
+        assert got > 0.1
+        assert abs(got - pairwise_consistency(wrong_real)) <= 1e-12 * got
+
+    @pytest.mark.parametrize("name", ["gl(9)", "gl(1000)", "sl(9)", "so(6,6)", "sp(12)"])
+    def test_dim_cap_before_building(self, name, monkeypatch):
+        def refuse(n, *rest):
+            raise AssertionError("generators built before the dimension check")
+        for builder in ("_gl_basis", "_sl_basis", "_so_pq_basis", "_sp_basis"):
+            monkeypatch.setattr(liealg, builder, refuse)
+        with pytest.raises(DomainError, match="dim_cap"):
+            builtin_algebra(name)
 
     def test_json_round_trip(self):
         basis, _ = builtin_algebra("sp(4)")

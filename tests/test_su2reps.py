@@ -131,8 +131,8 @@ class TestClebschGordan:
         _, iso2 = clebsch_gordan(1, 1)
         assert np.array_equal(iso1, iso2)
 
-    @pytest.mark.parametrize("twok", range(5))
-    @pytest.mark.parametrize("twol", range(5))
+    @pytest.mark.parametrize("twok", range(7))
+    @pytest.mark.parametrize("twol", range(7))
     def test_condon_shortley_against_sympy(self, twok, twol):
         cg_module = pytest.importorskip("sympy.physics.quantum.cg")
         k, l = Fraction(twok, 2), Fraction(twol, 2)
@@ -146,6 +146,22 @@ class TestClebschGordan:
         ref = np.array([[float(cg_module.CG(k, m1, l, m2, j, m).doit()) for j, m in coupled]
                         for m1, m2 in product])
         assert np.max(np.abs(iso - ref)) <= 1e-12
+
+    def test_no_eigensolves(self, monkeypatch):
+        # top states come from the kernel of L+, not from a Casimir eigensolve
+        from liequant import matrixcore, su2reps
+
+        calls = []
+        real_eig = matrixcore.eig_hermitian
+        counting = lambda h, *rest: calls.append(h) or real_eig(h, *rest)  # noqa: E731
+        monkeypatch.setattr(matrixcore, "eig_hermitian", counting)
+        monkeypatch.setattr(su2reps, "eig_hermitian", counting)
+        for twok in range(7):
+            for twol in range(7):
+                clebsch_gordan(Fraction(twok, 2), Fraction(twol, 2))
+        assert calls == []
+        decompose_restriction([build_irrep(1).t1, build_irrep(1).t2, build_irrep(1).t3])
+        assert len(calls) == 1  # the patch does see the eigensolves that remain
 
 
 class TestExponentials:

@@ -62,6 +62,14 @@ class TestPartitionFunction:
         with pytest.raises(DomainError, match="range"):
             partition_function(np.diag([-2000.0, 0.0]), 1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_beta_must_be_positive_and_finite(self, beta):
+        h = np.diag([0.0, 1.0])
+        with pytest.raises(DomainError, match="bad_beta"):
+            partition_function(h, beta)
+        with pytest.raises(DomainError, match="bad_beta"):
+            GibbsState(h, beta)
+
 
 class TestGibbsValue:
     def test_unit_observable(self):
