@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -288,9 +289,11 @@ def _cmd_rydberg(args) -> str:
 
 def _cmd_assign(args) -> str:
     try:
-        raw = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # numpy warns on a CSV with no rows
+            raw = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
         omega, weight = raw[:, 0], raw[:, 1]
-    except (ValueError, IndexError) as err:
+    except (ValueError, IndexError, UserWarning) as err:
         raise DomainError("bad_input", f"{args.data}: not an omega,weight CSV") from err
     data = spectra.SpectrumDataset(omega, weight)
     init = spectra.EnergyLevels(_json_array(args.levels, "levels"))

@@ -4,17 +4,18 @@ Basis states are the 2^n subsets J of {1..n}, enumerated by binary
 counting (bit i set means mode i+1 occupied).  Creation/annihilation
 carry the parity sign eps_j(J) = +1 iff an even number of indices in J
 is smaller than j; with that sign all anticommutators are exact in
-integer arithmetic.
+integer arithmetic.  Each a_j is a signed partial permutation (Jordan-
+Wigner), one row of a sign table; dense matrices are built on first access.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import anticommutator
 
 __all__ = [
     "epsilon",
@@ -24,7 +25,7 @@ __all__ = [
     "number_spectrum",
 ]
 
-MAX_MODES = 12  # 2^n basis states; keep matrices dense and small
+MAX_MODES = 12  # 2^n basis states; a dense view is 2^n x 2^n per mode
 
 
 def epsilon(j: int, subset) -> int:
@@ -33,23 +34,37 @@ def epsilon(j: int, subset) -> int:
     return 1 if below % 2 == 0 else -1
 
 
-def _epsilon_mask(j: int, mask: int) -> int:
-    below = (mask & ((1 << (j - 1)) - 1)).bit_count()
-    return 1 if below % 2 == 0 else -1
+def _flips(n_modes: int) -> np.ndarray:
+    """(n, 2^n) table of mask ^ bit_j: the state a_j or a*_j moves mask to."""
+    return np.arange(2**n_modes) ^ (1 << np.arange(n_modes))[:, None]
 
 
 @dataclass(frozen=True)
 class FermionFock:
-    """All 2^n_modes occupation states with per-mode ladder matrices."""
+    """2^n_modes occupation states; a_j |mask> = signs[j-1, mask] |mask ^ bit_j>."""
 
     n_modes: int
-    a: tuple      # a[j-1] annihilates mode j
-    a_dag: tuple
+    signs: np.ndarray  # read-only int8 (n, 2^n): eps_j(mask) if mode j is occupied, else 0
     hbar: float = 1.0
 
     @property
     def dim(self) -> int:
         return 2**self.n_modes
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Dense a_j matrices, a[j-1] annihilates mode j (read-only)."""
+        dense = np.zeros((self.n_modes, self.dim, self.dim))
+        dense[np.arange(self.n_modes)[:, None], _flips(self.n_modes), np.arange(self.dim)] = self.signs
+        dense.flags.writeable = False
+        return dense
+
+    @cached_property
+    def a_dag(self) -> np.ndarray:
+        """Dense a*_j = hbar a_j^T (read-only)."""
+        dense = self.hbar * self.a.transpose(0, 2, 1)
+        dense.flags.writeable = False
+        return dense
 
     def basis_subset(self, index: int) -> tuple:
         """Occupied mode labels of basis state ``index`` (sorted)."""
@@ -60,12 +75,11 @@ class FermionFock:
         u = np.asarray(u)
         if u.shape != (self.n_modes,):
             raise DomainError("shape", "one coefficient per mode required")
-        ops = self.a_dag if dagger else self.a
-        return sum(u[j] * ops[j] for j in range(self.n_modes))
+        return np.tensordot(u, self.a_dag if dagger else self.a, axes=1)
 
 
 def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:
-    """Ladder matrices a_j, a*_j on the 2^n occupation basis.
+    """Sign table of a_j, a*_j on the 2^n occupation basis.
 
     With the default hbar = 1 every anticommutator is integer-exact; a
     different scale multiplies the creation operators, turning the mixed
@@ -73,41 +87,34 @@ def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:
     """
     if not 1 <= n_modes <= MAX_MODES:
         raise DomainError("size_cap", f"n_modes must be in 1..{MAX_MODES}")
-    if hbar <= 0:
-        raise DomainError("bad_hbar", "hbar must be positive")
-    dim = 2**n_modes
-    ann, cre = [], []
-    for j in range(1, n_modes + 1):
-        bit = 1 << (j - 1)
-        aj = np.zeros((dim, dim))
-        for mask in range(dim):
-            if mask & bit:
-                aj[mask ^ bit, mask] = _epsilon_mask(j, mask)
-        aj.flags.writeable = False
-        adj = (hbar * aj.T) if hbar != 1.0 else aj.T.copy()
-        adj.flags.writeable = False
-        ann.append(aj)
-        cre.append(adj)
-    return FermionFock(n_modes, tuple(ann), tuple(cre), float(hbar))
+    if not 0 < hbar < np.inf:  # also rejects NaN
+        raise DomainError("bad_hbar", "hbar must be positive and finite")
+    occ = np.arange(2**n_modes) >> np.arange(n_modes)[:, None] & 1
+    below = np.cumsum(occ, axis=0) - occ  # occupied modes below j
+    signs = (occ * (1 - 2 * (below & 1))).astype(np.int8)
+    signs.flags.writeable = False
+    return FermionFock(n_modes, signs, float(hbar))
 
 
 def car_residual(f: FermionFock) -> float:
-    """Max deviation over {a_j,a_k}, {a*_j,a*_k}, {a_j,a*_k} - hbar delta_jk."""
-    eye = f.hbar * np.eye(f.dim)
-    worst = 0.0
-    for j in range(f.n_modes):
-        for k in range(f.n_modes):
-            worst = max(worst, float(np.max(np.abs(anticommutator(f.a[j], f.a[k])))))
-            worst = max(worst, float(np.max(np.abs(anticommutator(f.a_dag[j], f.a_dag[k])))))
-            target = eye if j == k else 0.0
-            dev = anticommutator(f.a[j], f.a_dag[k]) - target
-            worst = max(worst, float(np.max(np.abs(dev))))
-    return worst
+    """Max deviation over {a_j,a_k}, {a*_j,a*_k}, {a_j,a*_k} - hbar delta_jk.
+
+    Both products of an anticommutator send |mask> to one basis state, so each
+    entry is a sum of two sign products (exact); {a*_j,a*_k} = hbar^2 {a_k,a_j}^T.
+    """
+    s, flips, modes = f.signs, _flips(f.n_modes), np.arange(f.n_modes)
+    at = s[:, flips]  # at[j, k, mask] = s_j[mask ^ bit_k]
+    own = at[modes, modes]  # own[k, mask] = s_k[mask ^ bit_k]
+    # coefficients of {a_j, a_k} |mask> and of {a_j, a*_k} |mask> / hbar - delta_jk
+    pair = at * s + at.transpose(1, 0, 2) * s[:, None]
+    mixed = at * own + s[:, None] * own[:, flips].transpose(1, 0, 2)
+    mixed[modes, modes] -= 1
+    worst = float(np.max(np.abs(pair)))
+    return max(worst, f.hbar * f.hbar * worst, f.hbar * float(np.max(np.abs(mixed))))
 
 
 def number_spectrum(f: FermionFock, j: int) -> np.ndarray:
     """Sorted eigenvalues of n_j = a*_j a_j / hbar (occupation of mode j)."""
     if not 1 <= j <= f.n_modes:
         raise DomainError("bad_mode", f"mode must be in 1..{f.n_modes}")
-    nj = f.a_dag[j - 1] @ f.a[j - 1] / f.hbar
-    return np.sort(np.diag(nj).real)
+    return np.sort(np.abs(f.signs[j - 1])).astype(float)

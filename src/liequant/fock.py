@@ -10,6 +10,7 @@ levels 0..dim-2.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -71,8 +72,8 @@ def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
     """Ladder matrices on the truncated unnormalized level basis."""
     if dim < 2:
         raise DomainError("too_small", "need at least two levels")
-    if hbar <= 0:
-        raise DomainError("bad_hbar", "hbar must be positive")
+    if not 0 < hbar < math.inf:  # also rejects NaN
+        raise DomainError("bad_hbar", "hbar must be positive and finite")
     a = np.zeros((dim, dim), dtype=complex)
     a_dag = np.zeros((dim, dim), dtype=complex)
     for k in range(1, dim):
@@ -120,6 +121,10 @@ class CoherentState:
     z: complex
     dim: int
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.lam) and cmath.isfinite(self.z)):
+            raise DomainError("not_finite", "lam and z must be finite")
+
     @property
     def coeffs(self) -> np.ndarray:
         lam_bar = np.conj(complex(self.lam))
@@ -148,6 +153,8 @@ def coherent_inner(s1: CoherentState, s2: CoherentState, hbar: float = 1.0) -> c
 
 def evolve_coherent(s: CoherentState, omega: float, t: float) -> CoherentState:
     """Harmonic evolution moves |lam, z> to |lam, z e^{-i omega t}>."""
+    if not math.isfinite(omega * t):
+        raise DomainError("not_finite", "omega t must be finite")
     return CoherentState(s.lam, s.z * np.exp(-1j * omega * t), s.dim)
 
 
@@ -165,8 +172,10 @@ class HWData:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError("bad_hbar", "hbar must be positive")
+        if not 0 < self.hbar < math.inf:  # also rejects NaN
+            raise DomainError("bad_hbar", "hbar must be positive and finite")
+        if not all(math.isfinite(x) for x in (self.u, self.v, self.alpha)):
+            raise DomainError("bad_argument", "u, v and alpha must be finite")
 
 
 @dataclass(frozen=True)

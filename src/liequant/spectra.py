@@ -45,6 +45,8 @@ class EnergyLevels:
         vals = np.sort(np.asarray(values, dtype=float))
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("shape", "need a nonempty 1-d level list")
+        if not np.all(np.isfinite(vals)):
+            raise DomainError("not_finite", "levels must be finite")
         span = float(vals[-1] - vals[0])
         merged = [vals[0]]
         for v in vals[1:]:
@@ -69,8 +71,8 @@ class SpectrumDataset:
         wt = np.ones_like(om) if weights is None else np.asarray(weights, dtype=float)
         if om.ndim != 1 or om.shape != wt.shape:
             raise DomainError("shape", "omegas and weights must be equal-length vectors")
-        if np.any(om <= 0) or np.any(wt <= 0):
-            raise DomainError("bad_lines", "frequencies and weights must be positive")
+        if not (np.all((0 < om) & (om < np.inf)) and np.all((0 < wt) & (wt < np.inf))):
+            raise DomainError("bad_lines", "frequencies and weights must be positive and finite")
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "weights", wt)
 
@@ -105,6 +107,8 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
     """
     if k_max < 2:
         raise DomainError("too_few", "k_max must be at least 2")
+    if not np.isfinite(r_h):
+        raise DomainError("bad_argument", "r_h must be finite")
     out = []
     for k in range(1, k_max):
         for l in range(k + 1, k_max + 1):
@@ -213,6 +217,8 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
         raise DomainError("too_few", "need at least two trial levels")
     if max_iters < 1:
         raise DomainError("bad_iters", "max_iters must be at least 1")
+    if not 0 < hbar < np.inf:  # also rejects NaN
+        raise DomainError("bad_hbar", "hbar must be positive and finite")
     e = initial.values - initial.values[0]  # adopt the gauge up front
     flags: tuple = ()
     upper = lower = None
@@ -247,6 +253,8 @@ def assign_lines_multistart(data: SpectrumDataset, initial: EnergyLevels,
     trial levels by centered Gaussian noise of the given scale."""
     if n_starts < 1:
         raise DomainError("bad_iters", "need at least one start")
+    if not 0 <= scale < np.inf:  # also rejects NaN
+        raise DomainError("bad_argument", "scale must be non-negative and finite")
     if rng is None:
         rng = np.random.default_rng(0)
     best = assign_lines(data, initial, hbar=hbar, max_iters=max_iters)

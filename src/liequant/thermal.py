@@ -51,8 +51,8 @@ class PhysicalConstants:
     c: float = 2.99792458e8
 
     def __post_init__(self):
-        if min(self.kbar, self.hbar, self.c) <= 0:
-            raise DomainError("bad_constants", "all constants must be positive")
+        if not all(0 < x < math.inf for x in (self.kbar, self.hbar, self.c)):  # also rejects NaN
+            raise DomainError("bad_constants", "all constants must be positive and finite")
 
 
 SI_CONSTANTS = PhysicalConstants()
@@ -198,8 +198,8 @@ def limit_resolution(state: GibbsState, g) -> float:
 def planck_density(omega: float, temperature: float, volume: float,
                    consts: PhysicalConstants = SI_CONSTANTS) -> float:
     """Spectral energy density f(w) = (V hbar / pi^2 c^3) w^3 / (e^{hbar w beta} - 1)."""
-    if omega <= 0 or temperature <= 0:
-        raise DomainError("bad_argument", "omega and T must be positive")
+    if not (0 < omega < math.inf and 0 < temperature < math.inf and math.isfinite(volume)):
+        raise DomainError("bad_argument", "omega and T must be positive and finite, V finite")
     beta = 1.0 / (consts.kbar * temperature)
     x = consts.hbar * omega * beta
     if x > _EXP_GUARD:

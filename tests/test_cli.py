@@ -108,6 +108,13 @@ class TestBasicCommands:
         assert code == 0
         assert data["dim"] == 8 and data["car_residual"] == 0.0
 
+    def test_fermion_check_at_the_mode_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "fermion-check", "--modes", "12")
+        data = json.loads(out)
+        assert code == 0
+        assert data["dim"] == 4096 and data["car_residual"] == 0.0
+        assert data["number_spectra_binary"] is True
+
     def test_rydberg_csv(self, capsys):
         code, out, _ = run_cli(capsys, "rydberg", "--kmax", "3")
         lines = out.strip().split("\n")
@@ -211,14 +218,37 @@ class TestBadInput:
         ({}, ("gibbs", "--levels=0,1", "--beta", "inf"), "bad_beta"),
         *(({}, ("algebra-verify", "--name", name), "dim_cap")
           for name in ("gl(9)", "gl(1000)", "sl(9)", "so(6,6)", "sp(12)")),
+        ({"d.csv": "omega,weight\n", "l.json": '{"levels": [0, 1]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        *(({"d.csv": "omega,weight\n1.0,1.0\n1.5,1.0\n", "l.json": '{"levels": [0, 1, 2.5]}'},
+           ("assign", "--data", "d.csv", "--levels", "l.json", "--hbar", hbar), "bad_hbar")
+          for hbar in ("nan", "0", "-1", "inf")),
+        ({}, ("stefan", "--hbar", "nan"), "bad_constants"),
+        ({}, ("stefan", "--kbar", "inf"), "bad_constants"),
+        ({}, ("blackbody", "--temperature", "nan"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--volume", "inf"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--c", "nan"), "bad_constants"),
+        ({}, ("rydberg", "--rh", "nan"), "bad_argument"),
+        ({}, ("highest-weight", "--u", "nan", "--v", "0"), "bad_argument"),
+        ({}, ("highest-weight", "--u", "1", "--v", "0", "--hbar", "inf"), "bad_hbar"),
+        ({}, ("coherent", "--lam=nan,0"), "not_finite"),
+        ({}, ("coherent", "--z=0,inf"), "not_finite"),
+        ({}, ("coherent", "--evolve=1,inf"), "not_finite"),
+        ({}, ("coherent", "--hbar", "nan"), "bad_hbar"),
+        ({"d.csv": "omega,weight\nnan,1.0\n1.5,1.0\n", "l.json": '{"levels": [0, 1, 2.5]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_lines"),
+        ({"d.csv": "omega,weight\n1.0,1.0\n1.5,1.0\n", "l.json": '{"levels": [0, 1, 2.5]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json", "--starts", "2", "--scale=-1"),
+         "bad_argument"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
+        """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         code, out, err = run_process(*argv, cwd=tmp_path)
         assert code == 1
         assert out == ""
-        assert err.strip() == token
+        assert err == token + "\n"
 
     def test_rigidbody_nan_dt(self):
         code, out, err = run_process("rigidbody", "--inertia", "1,2,3", "--j0", "1,0.5,0.2",

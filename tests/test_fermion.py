@@ -1,6 +1,8 @@
 """Fermionic ladder matrices, parity signs, anticommutation relations."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,43 @@ import pytest
 from liequant.errors import DomainError
 from liequant.fermion import build_fermion, car_residual, epsilon, number_spectrum
 from liequant.matrixcore import anticommutator
+
+HBARS = (1.0, 0.5, 0.3, 1.7)
+
+
+def _bit_count_sign(j, mask):
+    """eps_j(mask) from the bit count below mode j; 0 when mode j is empty."""
+    if not mask >> (j - 1) & 1:
+        return 0
+    return 1 if (mask & ((1 << (j - 1)) - 1)).bit_count() % 2 == 0 else -1
+
+
+def _dense_ladders(n, hbar, sign):
+    """Reference per-entry construction: a_j[mask ^ bit_j, mask] = sign(j, mask)."""
+    dim = 2**n
+    ann, cre = [], []
+    for j in range(1, n + 1):
+        aj = np.zeros((dim, dim))
+        for mask in range(dim):
+            if sign(j, mask):
+                aj[mask ^ 1 << (j - 1), mask] = sign(j, mask)
+        ann.append(aj)
+        cre.append(hbar * aj.T if hbar != 1.0 else aj.T.copy())
+    return ann, cre
+
+
+def _dense_car(ann, cre, hbar):
+    """Reference CAR check: max entry of every dense anticommutator deviation."""
+    eye = hbar * np.eye(ann[0].shape[0])
+    worst = 0.0
+    for j in range(len(ann)):
+        for k in range(len(ann)):
+            worst = max(worst, float(np.max(np.abs(anticommutator(ann[j], ann[k])))))
+            worst = max(worst, float(np.max(np.abs(anticommutator(cre[j], cre[k])))))
+            target = eye if j == k else 0.0
+            dev = anticommutator(ann[j], cre[k]) - target
+            worst = max(worst, float(np.max(np.abs(dev))))
+    return worst
 
 
 class TestEpsilon:
@@ -90,6 +129,59 @@ class TestBuild:
     def test_size_cap(self):
         with pytest.raises(DomainError, match="size_cap"):
             build_fermion(13)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(DomainError, match="bad_hbar"):
+            build_fermion(2, hbar)
+
+
+class TestSignTable:
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_dense_views_match_per_entry_construction(self, n, hbar):
+        f = build_fermion(n, hbar)
+        ann, cre = _dense_ladders(n, hbar, _bit_count_sign)
+        for j in range(n):
+            assert np.array_equal(f.a[j], ann[j])
+            assert np.array_equal(f.a_dag[j], cre[j])
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_car_residual_equals_dense_oracle(self, n, hbar):
+        f = build_fermion(n, hbar)
+        assert car_residual(f) == _dense_car(*_dense_ladders(n, hbar, _bit_count_sign), hbar)
+
+    @pytest.mark.parametrize("hbar", HBARS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_car_residual_equals_dense_oracle_on_broken_tables(self, n, hbar):
+        """Single-entry sign flips, zeroings and fills of an empty slot all break the CAR."""
+        rng = np.random.default_rng(7 * n + round(10 * hbar))
+        f = build_fermion(n, hbar)
+        for _ in range(60):
+            j, mask = int(rng.integers(n)), int(rng.integers(2**n))
+            table = f.signs.copy()
+            table[j, mask] = rng.choice([-table[j, mask], 0]) if table[j, mask] else rng.choice([-1, 1])
+            broken = dataclasses.replace(f, signs=table)
+            ann, cre = _dense_ladders(n, hbar, lambda i, m: int(table[i - 1, m]))
+            assert all(np.array_equal(broken.a[i], ann[i]) for i in range(n))
+            got = car_residual(broken)
+            assert got == _dense_car(ann, cre, hbar)
+            assert got > 0.0
+
+    def test_tables_and_views_are_read_only(self):
+        f = build_fermion(3, 0.5)
+        for arr in (f.signs, f.a, f.a_dag, f.a[0], f.a_dag[2]):
+            assert not arr.flags.writeable
+
+    def test_twelve_modes_never_build_dense_matrices(self):
+        f = build_fermion(12)
+        assert f.signs.shape == (12, 4096) and f.signs.dtype == np.int8
+        assert car_residual(f) == 0.0
+        half = np.repeat([0.0, 1.0], 2048)
+        for j in range(1, 13):
+            assert np.array_equal(number_spectrum(f, j), half)
+        assert "a" not in f.__dict__ and "a_dag" not in f.__dict__
 
 
 class TestCAR:

@@ -80,6 +80,11 @@ class TestLadderRelations:
         with pytest.raises(DomainError, match="too_small"):
             build_fock(1)
 
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(DomainError, match="bad_hbar"):
+            build_fock(4, hbar)
+
 
 class TestSpectrum:
     def test_harmonic_ladder(self):
@@ -130,6 +135,19 @@ class TestCoherent:
         s = CoherentState(1.0, 3.0, 5)
         with pytest.raises(DomainError, match="truncation"):
             coherent_inner(s, s, 1.0)
+
+    @pytest.mark.parametrize("lam, z", [
+        (math.nan, 0.5), (complex(1.0, math.inf), 0.5), (1.0, complex(math.nan, 0.0)),
+        (1.0, -math.inf),
+    ])
+    def test_parameters_must_be_finite(self, lam, z):
+        with pytest.raises(DomainError, match="not_finite"):
+            CoherentState(lam, z, 10)
+
+    @pytest.mark.parametrize("omega, t", [(1.0, math.inf), (math.nan, 1.0), (0.0, math.inf)])
+    def test_evolution_needs_finite_phase(self, omega, t):
+        with pytest.raises(DomainError, match="not_finite"):
+            evolve_coherent(CoherentState(1.0, 0.5, 10), omega, t)
 
     def test_evolution_coefficientwise(self):
         s = CoherentState(0.5 - 0.1j, 0.8 + 0.3j, 25)
@@ -234,6 +252,18 @@ class TestHighestWeight:
     def test_invalid_mixture(self):
         with pytest.raises(DomainError, match="no_unitary_rep"):
             build_highest_weight(HWData(1.0, 0.0, -5.0), 50)
+
+    @pytest.mark.parametrize("u, v, alpha", [
+        (math.nan, 0.0, 0.0), (1.0, math.inf, 0.0), (1.0, 0.0, -math.inf), (1.0, 0.0, math.nan),
+    ])
+    def test_bracket_data_must_be_finite(self, u, v, alpha):
+        with pytest.raises(DomainError, match="bad_argument"):
+            HWData(u, v, alpha)
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, math.nan, math.inf])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        with pytest.raises(DomainError, match="bad_hbar"):
+            HWData(1.0, 0.0, 0.0, hbar)
 
     def test_interior_brackets_in_truncation(self):
         # infinite case: all three relations hold away from the top level

@@ -67,6 +67,11 @@ class TestRydberg:
         with pytest.raises(DomainError, match="too_few"):
             rydberg_lines(1)
 
+    @pytest.mark.parametrize("r_h", [np.nan, np.inf, -np.inf])
+    def test_rydberg_constant_must_be_finite(self, r_h):
+        with pytest.raises(DomainError, match="bad_argument"):
+            rydberg_lines(3, r_h)
+
 
 class TestLorentz:
     def test_peak_near_resonance(self):
@@ -190,6 +195,34 @@ class TestAssign:
         multi = assign_lines_multistart(data, start, n_starts=8, scale=0.05,
                                         rng=np.random.default_rng(5))
         assert multi.objective <= single.objective + 1e-15
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        data = SpectrumDataset([1.0, 1.5, 2.5])
+        start = EnergyLevels([0.0, 1.0, 2.5])
+        with pytest.raises(DomainError, match="bad_hbar"):
+            assign_lines(data, start, hbar=hbar)
+        with pytest.raises(DomainError, match="bad_hbar"):
+            assign_lines_multistart(data, start, hbar=hbar, n_starts=2)
+
+    @pytest.mark.parametrize("omegas, weights", [
+        ([1.0, np.nan], None), ([1.0, np.inf], None), ([1.0, 2.0], [1.0, np.nan]),
+        ([1.0, 2.0], [np.inf, 1.0]),
+    ])
+    def test_lines_must_be_positive_and_finite(self, omegas, weights):
+        with pytest.raises(DomainError, match="bad_lines"):
+            SpectrumDataset(omegas, weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_levels_must_be_finite(self, bad):
+        with pytest.raises(DomainError, match="not_finite"):
+            EnergyLevels([0.0, bad, 2.0])
+
+    @pytest.mark.parametrize("scale", [-1.0, np.nan, np.inf])
+    def test_restart_scale_must_be_non_negative_and_finite(self, scale):
+        data = SpectrumDataset([1.0, 1.5, 2.5])
+        with pytest.raises(DomainError, match="bad_argument"):
+            assign_lines_multistart(data, EnergyLevels([0.0, 1.0, 2.5]), n_starts=2, scale=scale)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="too_few"):

@@ -339,6 +339,23 @@ class TestBlackBody:
         sigma = stefan_constant(SI_CONSTANTS)
         assert abs(sigma * (4 * 300.0)**4 / (sigma * 300.0**4) - 256.0) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("slot", [0, 1, 2])
+    def test_constants_must_be_positive_and_finite(self, slot, bad):
+        values = [1.0, 1.0, 1.0]
+        values[slot] = bad
+        with pytest.raises(DomainError, match="bad_constants"):
+            PhysicalConstants(*values)
+
+    @pytest.mark.parametrize("omega, temp, vol", [
+        (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, math.nan, 1.0),
+        (1.0, math.inf, 1.0), (1.0, 1.0, math.nan), (1.0, 1.0, math.inf),
+        (1.0, 1.0, -math.inf), (0.0, 1.0, 1.0), (1.0, -1.0, 1.0),
+    ])
+    def test_planck_density_rejects_bad_arguments(self, omega, temp, vol):
+        with pytest.raises(DomainError, match="bad_argument"):
+            planck_density(omega, temp, vol, NATURAL)
+
 
 class TestMixing:
     def test_single_component(self):
