@@ -25,6 +25,10 @@ from . import fermion, fock, liealg, rotations, spectra, thermal
 from .errors import DomainError
 from .poisson import RigidBodyState, integrate_rigid_body, trajectory_csv
 
+# Cap on cover-check --samples and blackbody --points; 10000 cover-check
+# samples take about 4 s on a 2-core VM.
+MAX_SAMPLES = 100_000
+
 
 def _jdump(obj) -> str:
     def default(o):
@@ -44,6 +48,11 @@ def _write(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _list_help(text: str, example: str) -> str:
+    """Help of a comma-list option: argparse reads a leading minus sign as a flag."""
+    return f"{text}; write {example} when the first number is negative"
 
 
 def _numbers(count=None):
@@ -89,10 +98,20 @@ def _matrix_arg(args) -> np.ndarray:
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("LIEQUANT_SEED")
-    return int(env) if env else 0
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("LIEQUANT_SEED") or "0"
+        seed = int(env) if env.isdigit() else -1
+    if seed < 0:
+        raise DomainError("bad_argument", "the seed must be a non-negative integer")
+    return seed
+
+
+def _check_count(count: int, what: str) -> None:
+    if count < 0:
+        raise DomainError("bad_argument", f"{what} must be non-negative")
+    if count > MAX_SAMPLES:
+        raise DomainError("size_cap", f"{what} must be at most {MAX_SAMPLES}")
 
 
 def _constants(args) -> thermal.PhysicalConstants:
@@ -138,6 +157,7 @@ def _cmd_lift(args) -> str:
 
 
 def _cmd_cover_check(args) -> str:
+    _check_count(args.samples, "--samples")
     rng = np.random.default_rng(_seed(args))
     worst_h = worst_sign = 0.0
     kernel_ok = True
@@ -263,6 +283,9 @@ def _cmd_gibbs(args) -> str:
 
 def _cmd_blackbody(args) -> str:
     consts = _constants(args)
+    _check_count(args.points, "--points")
+    if not (0 < args.omega_min < math.inf and 0 < args.omega_max < math.inf):
+        raise DomainError("bad_argument", "the frequency range must be positive and finite")
     lines = ["omega,f_omega"]
     grid = np.geomspace(args.omega_min, args.omega_max, args.points)
     for w in grid:
@@ -331,15 +354,19 @@ def build_parser() -> argparse.ArgumentParser:
             "Elementary rotation R_x/R_y/R_z or axis-angle rotation matrix")
     p.add_argument("--axis", choices=["x", "y", "z"])
     p.add_argument("--angle", type=float, default=0.0, help="angle in radians")
-    p.add_argument("--vector", type=_numbers(3), help="rotation vector ax,ay,az (axis times angle)")
-    p.add_argument("--apply", type=_numbers(3), help="also rotate this 3-vector")
+    p.add_argument("--vector", type=_numbers(3), help=_list_help(
+        "rotation vector ax,ay,az (axis times angle)", "--vector=-1,0.5,0"))
+    p.add_argument("--apply", type=_numbers(3),
+                   help=_list_help("also rotate this 3-vector", "--apply=-1,0,0"))
 
     p = add("euler", _cmd_euler, "z-y-z Euler angles of a rotation matrix")
-    p.add_argument("--matrix", type=_numbers(), help="9 comma-separated row-major entries")
+    p.add_argument("--matrix", type=_numbers(), help=_list_help(
+        "9 comma-separated row-major entries", "--matrix=-1,0,0,0,-1,0,0,0,1"))
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
 
     p = add("lift", _cmd_lift, "SU(2) preimage (x, y) of a rotation matrix")
-    p.add_argument("--matrix", type=_numbers(), help="9 comma-separated row-major entries")
+    p.add_argument("--matrix", type=_numbers(), help=_list_help(
+        "9 comma-separated row-major entries", "--matrix=-1,0,0,0,-1,0,0,0,1"))
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
 
     p = add("cover-check", _cmd_cover_check,
@@ -354,8 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump", action="store_true", help="include the serialized basis")
 
     p = add("rigidbody", _cmd_rigidbody, "free rigid body trajectory as CSV")
-    p.add_argument("--inertia", type=_numbers(3), required=True, help="I1,I2,I3")
-    p.add_argument("--j0", type=_numbers(3), required=True, help="initial angular momentum J1,J2,J3")
+    p.add_argument("--inertia", type=_numbers(3), required=True,
+                   help=_list_help("I1,I2,I3", "--inertia=-1,2,3"))
+    p.add_argument("--j0", type=_numbers(3), required=True, help=_list_help(
+        "initial angular momentum J1,J2,J3", "--j0=-1,0.5,0.2"))
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--steps", type=int, default=1000)
 
@@ -367,11 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
 
     p = add("coherent", _cmd_coherent, "coherent-state coefficients and norm")
-    p.add_argument("--lam", type=_numbers(2), default="1,0", help="lambda as re,im")
-    p.add_argument("--z", type=_numbers(2), default="0,0", help="mode parameter as re,im")
+    p.add_argument("--lam", type=_numbers(2), default="1,0",
+                   help=_list_help("lambda as re,im", "--lam=-1,0"))
+    p.add_argument("--z", type=_numbers(2), default="0,0",
+                   help=_list_help("mode parameter as re,im", "--z=-0.5,0.2"))
     p.add_argument("--dim", type=int, default=40)
     p.add_argument("--hbar", type=float, default=1.0)
-    p.add_argument("--evolve", type=_numbers(2), help="omega,t: report the evolved mode parameter")
+    p.add_argument("--evolve", type=_numbers(2), help=_list_help(
+        "omega,t: report the evolved mode parameter", "--evolve=-1,0.5"))
 
     p = add("highest-weight", _cmd_highest_weight,
             "ladder representation from bracket data (u, v, alpha)")
@@ -395,7 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("gibbs", _cmd_gibbs,
             "partition function, mean energy and entropy of a canonical state")
-    p.add_argument("--levels", type=_numbers(), help="comma-separated energy levels (diagonal H)")
+    p.add_argument("--levels", type=_numbers(), help=_list_help(
+        "comma-separated energy levels (diagonal H)", "--levels=-1,0,1"))
     p.add_argument("--in", dest="infile", help='JSON file {"matrix": [[...]]}')
     p.add_argument("--beta", type=float, required=True)
 

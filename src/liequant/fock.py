@@ -2,10 +2,12 @@
 
 The level basis |0>, ..., |dim-1> is the unnormalized one in which the
 ladder operators act as a|k> = hbar |k-1> and a*|k-1> = k |k>, with the
-diagonal metric <k|k> = hbar^k / k!.  An orthonormal view (the familiar
-sqrt(hbar k) ladder matrices) is exposed for eigenvalue work.  All
-commutation statements hold away from the truncation boundary, i.e. on
-levels 0..dim-2.
+diagonal metric <k|k> = hbar^k / k!.  Every operator follows from
+(dim, hbar): dense matrices are built only when first read, and the
+oscillator spectrum is the closed form omega hbar k.  An orthonormal view
+(the familiar sqrt(hbar k) ladder matrices) is exposed for eigenvalue
+work.  All commutation statements hold away from the truncation
+boundary, i.e. on levels 0..dim-2.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import eig_hermitian, kron_embed
+from .matrixcore import kron_embed
 
 __all__ = [
     "HBAR_SI",
@@ -36,6 +40,20 @@ __all__ = [
 # hbar = h / (2 pi) with h ~ 6.626e-34 J s
 HBAR_SI = 1.0545718e-34
 
+MAX_LEVELS = 2048  # levels of one space or tensor product; a dense complex view is 64 MB at the cap
+
+
+def _check_levels(dim: int, least: int, token: str, what: str) -> None:
+    if dim < least:
+        raise DomainError(token, f"{what} must be at least {least}")
+    if dim > MAX_LEVELS:
+        raise DomainError("size_cap", f"{what} must be at most {MAX_LEVELS}")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
 
 @dataclass(frozen=True)
 class BosonFock:
@@ -43,10 +61,38 @@ class BosonFock:
 
     dim: int
     hbar: float
-    a: np.ndarray
-    a_dag: np.ndarray
-    n: np.ndarray
-    metric: np.ndarray  # diagonal weights <k|k> = hbar^k / k!
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """Dense a with a|k> = hbar |k-1> (read-only, complex)."""
+        return _frozen(np.diag(np.full(self.dim - 1, self.hbar, dtype=complex), 1))
+
+    @cached_property
+    def a_dag(self) -> np.ndarray:
+        """Dense a* with a*|k-1> = k |k> (read-only, complex)."""
+        return _frozen(np.diag(np.arange(1, self.dim, dtype=complex), -1))
+
+    @cached_property
+    def n(self) -> np.ndarray:
+        """Dense number operator diag(0, ..., dim-1) (read-only, complex)."""
+        return _frozen(np.diag(np.arange(self.dim, dtype=complex)))
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """Weights <k|k> = hbar^k / k! as written while hbar^k and k! are floats,
+        then w_k = w_{k-1} hbar / k (read-only); ``not_finite`` if one overflows."""
+        head = []
+        for k in range(self.dim):  # stops by k = 171, where k! leaves the float range
+            try:
+                head.append(self.hbar**k / math.factorial(k))
+            except OverflowError:
+                break
+        with np.errstate(over="ignore"):
+            steps = np.concatenate(([head[-1]], self.hbar / np.arange(len(head), self.dim)))
+            weights = np.concatenate((head, np.cumprod(steps)[1:]))
+        if not np.isfinite(weights).all():
+            raise DomainError("not_finite", f"a weight hbar^k/k! overflows below level {self.dim}")
+        return _frozen(weights)
 
     def inner(self, phi, psi) -> complex:
         """Weighted inner product sum_k (hbar^k/k!) conj(phi_k) psi_k."""
@@ -57,11 +103,15 @@ class BosonFock:
     def orthonormal_view(self, op) -> np.ndarray:
         """Matrix of ``op`` in the orthonormalized level basis.
 
-        With weights w_k = hbar^k/k! the entry map is
-        op[j, k] -> op[j, k] sqrt(w_j / w_k).
+        With weights w_k = hbar^k/k! the entry map is op[j, k] ->
+        op[j, k] sqrt(w_j / w_k); weights that underflow to 0 raise ``not_finite``.
         """
         s = np.sqrt(self.metric)
-        return (op * (s[:, np.newaxis] / s[np.newaxis, :])).astype(complex)
+        with np.errstate(all="ignore"):
+            view = (op * (s[:, np.newaxis] / s[np.newaxis, :])).astype(complex)
+        if not np.isfinite(view).all():
+            raise DomainError("not_finite", "level weights out of range for the orthonormal view")
+        return view
 
     def expectation(self, op, psi) -> complex:
         psi = np.asarray(psi, dtype=complex)
@@ -69,48 +119,46 @@ class BosonFock:
 
 
 def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
-    """Ladder matrices on the truncated unnormalized level basis."""
-    if dim < 2:
-        raise DomainError("too_small", "need at least two levels")
+    """Truncated level space; the ladder matrices are built on first access."""
+    _check_levels(dim, 2, "too_small", "dim")
     if not 0 < hbar < math.inf:  # also rejects NaN
         raise DomainError("bad_hbar", "hbar must be positive and finite")
-    a = np.zeros((dim, dim), dtype=complex)
-    a_dag = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        a[k - 1, k] = hbar
-        a_dag[k, k - 1] = k
-    n = np.diag(np.arange(dim, dtype=float)).astype(complex)
-    metric = np.array([hbar**k / math.factorial(k) for k in range(dim)])
-    for arr in (a, a_dag, n, metric):
-        arr.flags.writeable = False
-    return BosonFock(dim, float(hbar), a, a_dag, n, metric)
+    return BosonFock(dim, float(hbar))
 
 
 def tensor_modes(focks) -> list:
     """Per-mode ladder pairs (a_i, a*_i) on the tensor product of the spaces.
 
-    Supports up to three modes; mode i acts as identity on every other
-    factor, so mixed commutators vanish identically and each pair obeys
-    its own single-mode relations away from that factor's top level.
+    Supports up to three modes and MAX_LEVELS product levels; mode i acts
+    as identity on every other factor, so mixed commutators vanish
+    identically and each pair obeys its own single-mode relations away
+    from that factor's top level.
     """
     focks = list(focks)
     if not 1 <= len(focks) <= 3:
         raise DomainError("mode_cap", "tensor products support 1..3 modes")
     dims = [f.dim for f in focks]
+    if math.prod(dims) > MAX_LEVELS:
+        raise DomainError("size_cap", f"the product of dims must be at most {MAX_LEVELS}")
     return [(kron_embed(f.a, i, dims), kron_embed(f.a_dag, i, dims)) for i, f in enumerate(focks)]
 
 
 def oscillator_spectrum(f: BosonFock, omega: float, count: int) -> np.ndarray:
-    """First ``count`` eigenvalues of H = omega a* a (multiples of hbar omega).
+    """First ``count`` eigenvalues of H = omega a* a, in ascending order.
 
-    The top level is excluded as a truncation artifact, so ``count`` may
-    be at most ``dim - 1``.
+    In the orthonormal basis H is diagonal with entries omega hbar k.  The
+    top level is excluded as a truncation artifact, so ``count`` may be at
+    most ``dim - 1``.
     """
+    if count < 0:
+        raise DomainError("bad_argument", "count must be non-negative")
     if count > f.dim - 1:
         raise DomainError("truncation", f"only {f.dim - 1} levels are trustworthy")
-    h = omega * f.orthonormal_view(f.a_dag @ f.a)
-    w, _ = eig_hermitian(h)
-    return w[:count]
+    with np.errstate(over="ignore", invalid="ignore"):
+        levels = np.sort(omega * (f.hbar * np.arange(f.dim - 1)))
+    if not np.isfinite(levels).all():
+        raise DomainError("not_finite", "omega hbar k must be finite")
+    return levels[:count]
 
 
 @dataclass(frozen=True)
@@ -122,6 +170,7 @@ class CoherentState:
     dim: int
 
     def __post_init__(self):
+        _check_levels(self.dim, 0, "too_small", "dim")
         if not (cmath.isfinite(self.lam) and cmath.isfinite(self.z)):
             raise DomainError("not_finite", "lam and z must be finite")
 
@@ -129,26 +178,40 @@ class CoherentState:
     def coeffs(self) -> np.ndarray:
         lam_bar = np.conj(complex(self.lam))
         z_bar = np.conj(complex(self.z))
-        return lam_bar * z_bar ** np.arange(self.dim)
+        with np.errstate(all="ignore"):
+            coeffs = lam_bar * z_bar ** np.arange(self.dim)
+        if not np.isfinite(coeffs).all():
+            raise DomainError("not_finite", "a coefficient lam z^k overflows")
+        return coeffs
 
 
 def _check_truncation(dim: int, hbar: float, z1: complex, z2: complex):
-    tail = abs(hbar * z1 * np.conj(z2)) ** dim / math.factorial(dim)
-    if tail > 1e-14:
-        raise DomainError("truncation", f"dim {dim} too small, tail {tail:.2e}")
+    """Raise ``truncation`` when the dropped tail |hbar z1 conj(z2)|^dim / dim! exceeds 1e-14.
+
+    The test runs in log space, so neither the power nor the factorial overflows.
+    """
+    with np.errstate(all="ignore"):
+        log_x = np.log(np.abs(hbar * z1 * np.conj(z2)))
+    log_tail = dim * log_x - math.lgamma(dim + 1) if dim else 0.0  # x^0 / 0! = 1
+    if log_tail > math.log(1e-14):
+        raise DomainError("truncation", f"dim {dim} too small, tail e^{log_tail:.1f}")
 
 
 def coherent_inner(s1: CoherentState, s2: CoherentState, hbar: float = 1.0) -> complex:
     """<s1|s2> = lam1 conj(lam2) exp(hbar z1 conj(z2)), via the truncated sum.
 
     Raises ``truncation`` when the dropped tail of the exponential series
-    exceeds 1e-14.
+    exceeds 1e-14, and ``not_finite`` when the sum leaves the float range.
     """
     if s1.dim != s2.dim:
         raise DomainError("shape", "coherent states of different truncation")
     _check_truncation(s1.dim, hbar, complex(s1.z), complex(s2.z))
     f = build_fock(s1.dim, hbar)
-    return f.inner(s1.coeffs, s2.coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = f.inner(s1.coeffs, s2.coeffs)
+    if not cmath.isfinite(value):
+        raise DomainError("not_finite", "the overlap overflows")
+    return value
 
 
 def evolve_coherent(s: CoherentState, omega: float, t: float) -> CoherentState:
@@ -188,7 +251,7 @@ class InfiniteVerdict:
     levels_checked: int
 
 
-def _lowering_coefficient(d: HWData, k: int) -> float:
+def _lowering_coefficient(d: HWData, k):
     # a|k> = c_k |k-1>; the telescoped solution of the bracket relations
     return d.u * d.hbar * d.alpha + d.v + 0.5 * d.u * d.hbar * k
 
@@ -203,31 +266,26 @@ def build_highest_weight(d: HWData, max_levels: int):
     artifact.  All-positive norms up to ``max_levels`` give
     ``InfiniteVerdict``; a sign flip means no unitary representation
     exists and raises ``no_unitary_rep`` carrying the offending level.
+    Coefficients outside the float range raise ``not_finite``.
 
     Returns ``(a, a_dag, h, verdict)``.
     """
-    if max_levels < 1:
-        raise DomainError("bad_levels", "max_levels must be at least 1")
-    verdict = None
-    dim = max_levels
-    for j in range(1, max_levels + 1):
-        c_j = _lowering_coefficient(d, j)
+    _check_levels(max_levels, 1, "bad_levels", "max_levels")
+    j = np.arange(1, max_levels + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _lowering_coefficient(d, j)
         scale = abs(d.v) + abs(d.u * d.hbar * d.alpha) + 0.5 * abs(d.u * d.hbar) * j
-        if abs(c_j) <= 1e-12 * max(1.0, scale):
-            verdict = FiniteVerdict(j)
-            dim = j
-            break
-        if c_j < 0:
-            raise DomainError("no_unitary_rep", f"norm turns negative at level {j}")
-    if verdict is None:
-        verdict = InfiniteVerdict(max_levels)
-    a = np.zeros((dim, dim))
-    a_dag = np.zeros((dim, dim))
-    for k in range(1, dim):
-        a[k - 1, k] = _lowering_coefficient(d, k)
-        a_dag[k, k - 1] = d.hbar * k
-    h = np.diag([d.hbar * (k + d.alpha + 0.5) for k in range(dim)])
-    return a, a_dag, h, verdict
+        zero = np.abs(c) <= 1e-12 * np.maximum(1.0, scale)
+        stops = np.flatnonzero(zero | (c < 0))
+        dim = int(stops[0]) + 1 if stops.size else max_levels
+        raising = d.hbar * j[:dim - 1]
+        weights = d.hbar * (np.arange(dim) + d.alpha + 0.5)
+    if not np.isfinite(np.concatenate((c[:dim], scale[:dim], raising, weights))).all():
+        raise DomainError("not_finite", "ladder coefficients leave the float range")
+    if stops.size and not zero[dim - 1]:
+        raise DomainError("no_unitary_rep", f"norm turns negative at level {dim}")
+    verdict = FiniteVerdict(dim) if stops.size else InfiniteVerdict(max_levels)
+    return np.diag(c[:dim - 1], 1), np.diag(raising, -1), np.diag(weights), verdict
 
 
 def case2_alpha(j_m: int, u: float, v: float, hbar: float = 1.0) -> float:

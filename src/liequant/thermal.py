@@ -200,11 +200,17 @@ def planck_density(omega: float, temperature: float, volume: float,
     """Spectral energy density f(w) = (V hbar / pi^2 c^3) w^3 / (e^{hbar w beta} - 1)."""
     if not (0 < omega < math.inf and 0 < temperature < math.inf and math.isfinite(volume)):
         raise DomainError("bad_argument", "omega and T must be positive and finite, V finite")
-    beta = 1.0 / (consts.kbar * temperature)
-    x = consts.hbar * omega * beta
-    if x > _EXP_GUARD:
-        return 0.0
-    return (volume * consts.hbar / (math.pi**2 * consts.c**3)) * omega**3 / math.expm1(x)
+    try:
+        beta = 1.0 / (consts.kbar * temperature)
+        x = consts.hbar * omega * beta
+        if x > _EXP_GUARD:
+            return 0.0
+        value = (volume * consts.hbar / (math.pi**2 * consts.c**3)) * omega**3 / math.expm1(x)
+    except (OverflowError, ZeroDivisionError):  # a power or a quotient past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("not_finite", "the spectral density leaves the float range")
+    return value
 
 
 def wien_displacement_x() -> float:

@@ -1,15 +1,23 @@
 """CLI contract: output formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import math
 import os
+import re
+import shlex
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import liequant
 from liequant.cli import main
+from liequant.fock import MAX_LEVELS
 
 
 def run_cli(capsys, *argv):
@@ -26,6 +34,44 @@ def run_process(*argv, cwd=None):
     proc = subprocess.run([sys.executable, "-m", "liequant.cli", *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def _reject_constant(name):
+    raise AssertionError(f"{name} in JSON output")
+
+
+def assert_finite_output(text):
+    """Stdout is JSON, or CSV under a header row, with no NaN or infinity in it."""
+    if text.startswith("{"):
+        json.loads(text, parse_constant=_reject_constant)
+        return
+    header, *rows = text.splitlines()
+    assert header and "," in header
+    values = [float(field) for row in rows for field in row.split(",")]
+    assert all(math.isfinite(v) for v in values)
+
+
+def check_contract(argv):
+    """Run ``argv`` in-process with warnings as errors and assert the exit contract.
+
+    Exit 0 prints finite JSON or CSV, exit 1 prints one token and nothing
+    else, exit 2 is a usage error; no exception escapes.  Returns the code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 1:
+        assert out == "" and re.fullmatch(r"[a-z_]+\n", err), (argv, err)
+    if code == 0:
+        assert_finite_output(out)
+    return code
 
 
 class TestBasicCommands:
@@ -114,6 +160,11 @@ class TestBasicCommands:
         assert code == 0
         assert data["dim"] == 4096 and data["car_residual"] == 0.0
         assert data["number_spectra_binary"] is True
+
+    def test_negative_leading_vector(self, capsys):
+        code, out, _ = run_cli(capsys, "rotate", "--vector=-1,0.5,0")
+        assert code == 0
+        assert np.allclose(np.array(json.loads(out)["matrix"]) @ [-1, 0.5, 0], [-1, 0.5, 0])
 
     def test_rydberg_csv(self, capsys):
         code, out, _ = run_cli(capsys, "rydberg", "--kmax", "3")
@@ -240,6 +291,18 @@ class TestBadInput:
         ({"d.csv": "omega,weight\n1.0,1.0\n1.5,1.0\n", "l.json": '{"levels": [0, 1, 2.5]}'},
          ("assign", "--data", "d.csv", "--levels", "l.json", "--starts", "2", "--scale=-1"),
          "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--points=-3"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--omega-min", "0"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--omega-min=-1"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--omega-max", "inf"), "bad_argument"),
+        ({}, ("blackbody", "--temperature", "300", "--points", "100001"), "size_cap"),
+        ({}, ("cover-check", "--samples=-1"), "bad_argument"),
+        ({}, ("cover-check", "--samples", "100001"), "size_cap"),
+        ({}, ("cover-check", "--seed=-1"), "bad_argument"),
+        ({}, ("fock-spectrum", "--count=-2"), "bad_argument"),
+        ({}, ("fock-spectrum", "--dim", "100000"), "size_cap"),
+        ({}, ("coherent", "--dim", "100000"), "size_cap"),
+        ({}, ("highest-weight", "--u", "1", "--v", "0", "--max-levels", "10000000"), "size_cap"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -262,3 +325,126 @@ class TestBadInput:
                                "--steps", "10000")
         assert code == 0
         assert out.rstrip("\n").rsplit("\n", 1)[1].split(",")[0] == "10"
+
+    def test_blackbody_without_points_is_header_only(self, capsys):
+        code, out, err = run_cli(capsys, "blackbody", "--temperature", "300", "--points", "0")
+        assert (code, out, err) == (0, "omega,f_omega\n", "")
+
+
+README = Path(liequant.__file__).resolve().parents[2] / "README.md"
+README_ARGVS = [shlex.split(line)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+                for line in block.splitlines() if line.startswith("liequant ")
+                ] if README.is_file() else []
+
+
+@pytest.mark.parametrize("argv", README_ARGVS, ids=lambda argv: argv[0])
+def test_readme_example(argv, tmp_path, monkeypatch, capsys):
+    """Every ``liequant`` line of the README's shell blocks exits 0 with finite output."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.csv").write_text("omega,weight\n" + "".join(
+        f"{w},1.0\n" for w in (0.2, 1.0, 1.5, 1.7, 2.5, 2.7)))
+    (tmp_path / "init.json").write_text(json.dumps({"levels": [0.01, 0.99, 2.52, 2.69]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0 and err == ""
+    assert_finite_output(out)
+
+
+def test_readme_has_cli_examples():
+    if not README.is_file():
+        pytest.skip("README.md is not beside the source tree")
+    assert len(README_ARGVS) >= 18
+
+
+# Valid fock runs that ended in a traceback or a warning before MAX_LEVELS and
+# the closed-form spectrum (their token cases are in TestBadInput)
+FOCK_EDGE_ARGVS = [
+    ("fock-spectrum", "--dim", "172"),
+    ("coherent", "--dim", "172"),
+    ("fock-spectrum", "--dim", "110", "--hbar", "1000"),
+    ("coherent", "--dim", "110", "--hbar", "1000"),
+    ("fock-spectrum", "--dim", "100", "--hbar", "0.01"),
+    ("fock-spectrum", "--dim", str(MAX_LEVELS), "--count", str(MAX_LEVELS - 1)),
+    ("coherent", "--dim", str(MAX_LEVELS), "--z=0.5,0.3", "--hbar", "2"),
+    ("highest-weight", "--u", "1", "--v", "0", "--max-levels", str(MAX_LEVELS)),
+]
+
+
+@pytest.mark.parametrize("argv", FOCK_EDGE_ARGVS, ids=lambda argv: " ".join(argv))
+def test_fock_edge_cases_succeed(argv):
+    assert check_contract(argv) == 0
+
+
+# (command, required options, optional options) driven by the property test
+CONTRACT_COMMANDS = [
+    ("fock-spectrum", (), ("--dim", "--hbar", "--omega", "--count")),
+    ("coherent", (), ("--dim", "--hbar", "--lam", "--z", "--evolve")),
+    ("highest-weight", ("--u", "--v"), ("--alpha", "--hbar", "--max-levels")),
+    ("blackbody", ("--temperature",),
+     ("--volume", "--omega-min", "--omega-max", "--points", "--kbar", "--hbar", "--c")),
+    ("cover-check", (), ("--samples", "--seed")),
+]
+PAIR_OPTIONS = {"--lam", "--z", "--evolve"}
+SPECIAL_NUMBERS = ("0", "-1", str(MAX_LEVELS - 1), str(MAX_LEVELS + 1), "1000000000",
+                   "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-1e-308")
+
+# Shrunk counterexamples of the property test (each ended in a traceback or a
+# warning before this contract held), then overflow cases picked by hand
+CONTRACT_COUNTEREXAMPLES = [
+    ("blackbody", "--temperature=0", "--omega-min=0"),
+    ("blackbody", "--temperature=0", "--omega-min=-1"),
+    ("blackbody", "--temperature=0", "--omega-min=inf"),
+    ("coherent", "--dim=-1"),
+    ("coherent", "--dim=2047"),
+    ("coherent", "--dim=2049"),
+    ("cover-check", "--seed=-1"),
+    ("fock-spectrum", "--hbar=1000000000"),
+    ("fock-spectrum", "--hbar=1e-308"),
+    ("fock-spectrum", "--hbar=1e308"),
+    ("blackbody", "--temperature=1e-308"),
+    ("blackbody", "--temperature=1e300", "--omega-max=1e308"),
+    ("blackbody", "--temperature=300", "--c=1e308"),
+    ("blackbody", "--temperature=300", "--c=1e-308"),
+    ("blackbody", "--temperature=300", "--volume=1e308", "--hbar=1e-308"),
+    ("coherent", "--lam=1e308,0"),
+    ("coherent", "--dim=2048", "--z=1.5,0"),
+    ("coherent", "--dim=2048", "--hbar=1000", "--z=0.01,0"),
+    ("fock-spectrum", "--omega=inf"),
+    ("fock-spectrum", "--omega=1e308", "--hbar=10"),
+    ("highest-weight", "--u=1e308", "--v=0", "--hbar=1e308"),
+    ("highest-weight", "--u=1e308", "--v=1e308", "--alpha=-1e308"),
+    ("highest-weight", "--u=1", "--v=0", "--hbar=1e306", "--max-levels=2048"),
+]
+
+
+@pytest.mark.parametrize("argv", CONTRACT_COUNTEREXAMPLES, ids=lambda argv: " ".join(argv))
+def test_contract_counterexample(argv):
+    check_contract(argv)
+
+
+@pytest.mark.parametrize("command, required, optional", CONTRACT_COMMANDS,
+                         ids=[c[0] for c in CONTRACT_COMMANDS])
+def test_contract_property(command, required, optional):
+    """Exit codes, tokens and finite output hold for extreme and invalid numbers."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    number = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-2, 60).map(str),
+                       st.floats(-1e3, 1e3).map(repr))
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None,
+                         suppress_health_check=[hypothesis.HealthCheck.too_slow])
+    @hypothesis.given(st.data())
+    def check(data):
+        argv = [command]
+        for option in required + optional:
+            if option in required or data.draw(st.booleans()):
+                value = data.draw(number)
+                if option in PAIR_OPTIONS:
+                    value += "," + data.draw(number)
+                argv.append(f"{option}={value}")
+        check_contract(argv)
+
+    check()
