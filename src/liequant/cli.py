@@ -25,8 +25,8 @@ from . import fermion, fock, liealg, rotations, spectra, thermal
 from .errors import DomainError
 from .poisson import RigidBodyState, integrate_rigid_body, trajectory_csv
 
-# Cap on cover-check --samples and blackbody --points; 10000 cover-check
-# samples take about 4 s on a 2-core VM.
+# Cap on cover-check --samples, blackbody --points and rigidbody --steps;
+# 10000 cover-check samples take about 4 s on a 2-core VM.
 MAX_SAMPLES = 100_000
 
 
@@ -198,6 +198,8 @@ def _cmd_algebra_verify(args) -> str:
 
 
 def _cmd_rigidbody(args) -> str:
+    if args.steps > MAX_SAMPLES:  # a negative count is bad_steps, from the integrator
+        raise DomainError("size_cap", f"--steps must be at most {MAX_SAMPLES}")
     state = RigidBodyState(tuple(args.j0), tuple(args.inertia))
     trajectory = integrate_rigid_body(state, args.dt, args.steps)
     return trajectory_csv(trajectory)

@@ -10,10 +10,12 @@ with fixed-step classical RK4.
 
 from __future__ import annotations
 
-import io
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import add
 
 from .errors import DomainError
 
@@ -29,6 +31,7 @@ __all__ = [
     "poisson_pq",
     "lie_poisson_so3",
     "RigidBodyState",
+    "RigidBodyTrajectory",
     "euler_rhs",
     "integrate_rigid_body",
     "trajectory_csv",
@@ -63,6 +66,23 @@ class SparsePoly:
         else:
             self.terms[expo] = new
 
+    @classmethod
+    def _summed(cls, nvars: int, items) -> "SparsePoly":
+        """Sum (exponent, coefficient) pairs in order as ``_add_term`` does, without
+        re-checking exponents that the arithmetic below made valid by construction."""
+        terms = {}
+        for expo, coeff in items:
+            if expo in terms:
+                coeff = terms[expo] + coeff
+            if coeff == 0:
+                terms.pop(expo, None)
+            else:
+                terms[expo] = coeff
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     def _check(self, other: "SparsePoly"):
         if self.nvars != other.nvars:
             raise DomainError("shape", "polynomials over different variables")
@@ -71,13 +91,10 @@ class SparsePoly:
         if not isinstance(other, SparsePoly):
             other = constant(self.nvars, other)
         self._check(other)
-        out = SparsePoly(self.nvars, self.terms)
-        for expo, coeff in other.terms.items():
-            out._add_term(expo, coeff)
-        return out
+        return SparsePoly._summed(self.nvars, chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._summed(self.nvars, [(e, -c) for e, c in self.terms.items()])
 
     def __sub__(self, other):
         if not isinstance(other, SparsePoly):
@@ -86,29 +103,19 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            out = SparsePoly(self.nvars)
             scalar = _exactify(other)
-            for expo, coeff in self.terms.items():
-                out._add_term(expo, coeff * scalar)
-            return out
+            return SparsePoly._summed(self.nvars, [(e, c * scalar) for e, c in self.terms.items()])
         self._check(other)
-        out = SparsePoly(self.nvars)
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                out._add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return out
+        return SparsePoly._summed(self.nvars, [
+            (tuple(map(add, e1, e2)), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()])
 
     __rmul__ = __mul__
 
     def diff(self, var: int) -> "SparsePoly":
-        out = SparsePoly(self.nvars)
-        for expo, coeff in self.terms.items():
-            k = expo[var]
-            if k:
-                new = list(expo)
-                new[var] = k - 1
-                out._add_term(tuple(new), coeff * k)
-        return out
+        return SparsePoly._summed(self.nvars, [
+            (expo[:var] + (expo[var] - 1,) + expo[var + 1:], coeff * expo[var])
+            for expo, coeff in self.terms.items() if expo[var]])
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -225,41 +232,86 @@ def euler_rhs(state: RigidBodyState) -> tuple:
     return _cross(state.J, state.omega)
 
 
-def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int):
+class RigidBodyTrajectory(Sequence):
+    """Rows (t, J1, J2, J3) under one inertia, equal to the list of their states.
+
+    Reading an entry builds its ``RigidBodyState``; ``trajectory_csv`` reads the rows.
+    """
+
+    __slots__ = ("inertia", "rows")
+
+    def __init__(self, inertia: tuple, rows: list):
+        self.inertia = inertia
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._state(row) for row in self.rows[index]]
+        return self._state(self.rows[index])
+
+    def __iter__(self):
+        return map(self._state, self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (list, RigidBodyTrajectory)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def _state(self, row) -> RigidBodyState:
+        return RigidBodyState(row[1:], self.inertia, row[0])
+
+
+def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int) -> RigidBodyTrajectory:
     """Classical fixed-step RK4 trajectory, including the initial state.
 
     Step k is stamped t0 + k*dt, so the clock carries no accumulated
     roundoff.  A negative dt integrates backwards in time; a zero or
-    non-finite dt is rejected with ``bad_dt``.
+    non-finite dt is rejected with ``bad_dt``, and a trajectory that
+    leaves the float range with ``not_finite``.
     """
     if steps < 0:
         raise DomainError("bad_steps", "steps must be nonnegative")
     if not math.isfinite(dt) or dt == 0:
         raise DomainError("bad_dt", "dt must be finite and nonzero")
-    inertia = s0.I
+    i1, i2, i3 = s0.I
+    half, sixth, t0 = 0.5 * dt, dt / 6.0, s0.t
 
-    def rhs(j):
-        w = (j[0] / inertia[0], j[1] / inertia[1], j[2] / inertia[2])
-        return _cross(j, w)
+    def rhs(a, b, c):  # J x omega, the operation order of _cross
+        w1, w2, w3 = a / i1, b / i2, c / i3
+        return b * w3 - c * w2, c * w1 - a * w3, a * w2 - b * w1
 
-    out = [s0]
-    j = s0.J
+    a, b, c = s0.J
+    rows = [(t0, a, b, c)]
     for k in range(1, steps + 1):
-        k1 = rhs(j)
-        k2 = rhs(tuple(j[i] + 0.5 * dt * k1[i] for i in range(3)))
-        k3 = rhs(tuple(j[i] + 0.5 * dt * k2[i] for i in range(3)))
-        k4 = rhs(tuple(j[i] + dt * k3[i] for i in range(3)))
-        j = tuple(j[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i])
-                  for i in range(3))
-        out.append(RigidBodyState(j, inertia, s0.t + k * dt))
-    return out
+        p1, p2, p3 = rhs(a, b, c)
+        q1, q2, q3 = rhs(a + half * p1, b + half * p2, c + half * p3)
+        r1, r2, r3 = rhs(a + half * q1, b + half * q2, c + half * q3)
+        s1, s2, s3 = rhs(a + dt * r1, b + dt * r2, c + dt * r3)
+        a = a + sixth * (p1 + 2 * q1 + 2 * r1 + s1)
+        b = b + sixth * (p2 + 2 * q2 + 2 * r2 + s2)
+        c = c + sixth * (p3 + 2 * q3 + 2 * r3 + s3)
+        rows.append((t0 + k * dt, a, b, c))
+    # a NaN or infinite component stays so under the update, so the last row decides
+    if not all(map(math.isfinite, rows[-1])):
+        raise DomainError("not_finite", "the trajectory left the float range")
+    return RigidBodyTrajectory(s0.I, rows)
 
 
 def trajectory_csv(trajectory) -> str:
-    """CSV dump with header t,J1,J2,J3,E,Jsq."""
-    buf = io.StringIO()
-    buf.write("t,J1,J2,J3,E,Jsq\n")
-    for s in trajectory:
-        buf.write(f"{s.t:.17g},{s.J[0]:.17g},{s.J[1]:.17g},{s.J[2]:.17g},"
-                  f"{s.energy:.17g},{s.j_squared:.17g}\n")
-    return buf.getvalue()
+    """CSV dump with header t,J1,J2,J3,E,Jsq of a trajectory or a list of states."""
+    if isinstance(trajectory, RigidBodyTrajectory):
+        rows = (row + trajectory.inertia for row in trajectory.rows)
+    else:
+        rows = ((s.t, *s.J, *s.I) for s in trajectory)
+    lines = ["t,J1,J2,J3,E,Jsq\n"]
+    for t, a, b, c, i1, i2, i3 in rows:
+        # sum() as in RigidBodyState.energy and .j_squared, so the bits agree
+        energy = 0.5 * sum((a * a / i1, b * b / i2, c * c / i3))
+        j_squared = sum((a * a, b * b, c * c))
+        if not (math.isfinite(energy) and math.isfinite(j_squared)):
+            raise DomainError("not_finite", "E or J^2 leaves the float range")
+        lines.append(f"{t:.17g},{a:.17g},{b:.17g},{c:.17g},{energy:.17g},{j_squared:.17g}\n")
+    return "".join(lines)

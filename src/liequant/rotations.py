@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matrixcore import Tolerance, is_special_orthogonal
 
 __all__ = [
     "Rotation",
@@ -24,6 +23,8 @@ __all__ = [
     "haar_su2",
 ]
 
+_EYE3 = np.eye(3)
+
 
 @dataclass(frozen=True)
 class Rotation:
@@ -32,10 +33,16 @@ class Rotation:
     m: np.ndarray
 
     def __post_init__(self):
+        # the verdict of is_special_orthogonal(m, Tolerance(1e-9, 0.0)), on the real array
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise DomainError("shape", "rotation must be 3x3")
-        if not is_special_orthogonal(m, Tolerance(1e-9, 0.0)):
+        largest = np.abs(m).max()
+        if not np.isfinite(largest):
+            raise DomainError("not_finite", "rotation contains NaN/Inf entries")
+        # a rotation has no entry above 1, and the bound keeps m^T m in the float range
+        if largest > 2.0 or np.abs(m.T @ m - _EYE3).max() > 1e-9 \
+                or not abs(np.linalg.det(m) - 1.0) <= 1e-9:
             raise DomainError("not_rotation", "matrix is not special orthogonal")
         m = m.copy()
         m.flags.writeable = False
@@ -45,7 +52,11 @@ class Rotation:
         return Rotation(self.m @ other.m)
 
     def apply(self, v) -> np.ndarray:
-        return self.m @ np.asarray(v, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = self.m @ np.asarray(v, dtype=float)
+        if not np.isfinite(image).all():
+            raise DomainError("not_finite", "the image leaves the float range")
+        return image
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,8 @@ def vee(m) -> np.ndarray:
 
 def elementary(axis: str, angle: float) -> Rotation:
     """Elementary rotation about the x, y or z axis."""
+    if not np.isfinite(angle):
+        raise DomainError("not_finite", "angle must be finite")
     c, s = np.cos(angle), np.sin(angle)
     if axis == "x":
         m = [[1, 0, 0], [0, c, -s], [0, s, c]]
@@ -113,17 +126,21 @@ def rodrigues(a) -> Rotation:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise DomainError("shape", "expected a 3-vector")
-    theta = float(np.linalg.norm(a))
-    x = hat(a)
-    if theta < 1e-4:
-        # series for sin t/t and (1-cos t)/t^2, exact enough below 1e-4
-        t2 = theta * theta
-        c1 = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        c2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    else:
-        c1 = np.sin(theta) / theta
-        c2 = (1.0 - np.cos(theta)) / (theta * theta)
-    return Rotation(np.eye(3) + c1 * x + c2 * (x @ x))
+    # a NaN or infinite entry, |a| or X(a)^2 past the float range make m
+    # non-finite, which Rotation rejects with not_finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.linalg.norm(a))
+        x = hat(a)
+        if theta < 1e-4:
+            # series for sin t/t and (1-cos t)/t^2, exact enough below 1e-4
+            t2 = theta * theta
+            c1 = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+            c2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        else:
+            c1 = np.sin(theta) / theta
+            c2 = (1.0 - np.cos(theta)) / (theta * theta)
+        m = np.eye(3) + c1 * x + c2 * (x @ x)
+    return Rotation(m)
 
 
 def _quaternion_from_matrix(m: np.ndarray) -> np.ndarray:

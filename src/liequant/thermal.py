@@ -227,7 +227,13 @@ def wien_displacement_x() -> float:
 
 def stefan_constant(consts: PhysicalConstants = SI_CONSTANTS) -> float:
     """sigma = pi^2 kbar^4 / (60 hbar^3 c^2) in J s^-1 m^-2 K^-4."""
-    return math.pi**2 * consts.kbar**4 / (60.0 * consts.hbar**3 * consts.c**2)
+    try:
+        sigma = math.pi**2 * consts.kbar**4 / (60.0 * consts.hbar**3 * consts.c**2)
+    except (OverflowError, ZeroDivisionError):  # a power or a quotient past the float range
+        sigma = math.inf
+    if not math.isfinite(sigma):
+        raise DomainError("not_finite", "the radiation constant leaves the float range")
+    return sigma
 
 
 def entropy_of_mixing(fractions, n_moles: float,

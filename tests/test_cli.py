@@ -16,8 +16,10 @@ import numpy as np
 import pytest
 
 import liequant
-from liequant.cli import main
+from liequant.cli import MAX_SAMPLES, main
 from liequant.fock import MAX_LEVELS
+from liequant.spectra import MAX_KMAX
+from liequant.su2reps import MAX_DIM
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +305,26 @@ class TestBadInput:
         ({}, ("fock-spectrum", "--dim", "100000"), "size_cap"),
         ({}, ("coherent", "--dim", "100000"), "size_cap"),
         ({}, ("highest-weight", "--u", "1", "--v", "0", "--max-levels", "10000000"), "size_cap"),
+        ({}, ("rigidbody", "--inertia", "1,2,3", "--j0", "1e200,1,1", "--dt", "1", "--steps", "3"),
+         "not_finite"),
+        ({}, ("rigidbody", "--inertia", "1e-300,1,1", "--j0", "1,1,1", "--dt", "0.1",
+              "--steps", "3"),
+         "not_finite"),
+        ({}, ("rigidbody", "--inertia", "1e-300,1,1", "--j0", "1e5,0,0", "--steps", "0"),
+         "not_finite"),
+        ({}, ("stefan", "--kbar", "1e100"), "not_finite"),
+        ({}, ("stefan", "--hbar", "1e-200"), "not_finite"),
+        ({}, ("stefan", "--kbar", "1e77"), "not_finite"),
+        ({}, ("rigidbody", "--inertia", "1,2,3", "--j0", "1,1,1", "--steps", "100001"), "size_cap"),
+        ({}, ("rigidbody", "--inertia", "1,2,3", "--j0", "1,1,1", "--steps=-1"), "bad_steps"),
+        ({}, ("rydberg", "--kmax", "2000"), "size_cap"),
+        ({}, ("irrep", "--j", "1000"), "size_cap"),
+        ({}, ("cg", "--k", "30", "--l", "30"), "size_cap"),
+        ({}, ("cg", "--k", "15", "--l", "15"), "size_cap"),
+        ({}, ("rotate", "--axis", "x", "--angle", "inf"), "not_finite"),
+        ({}, ("rotate", "--vector=0,0,inf"), "not_finite"),
+        ({}, ("rotate", "--vector=0,0,1", "--apply=0,0,nan"), "not_finite"),
+        ({}, ("euler", "--matrix=0,0,0,0,0,0,0,0,1e308"), "not_rotation"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -378,6 +400,19 @@ def test_fock_edge_cases_succeed(argv):
     assert check_contract(argv) == 0
 
 
+# The largest size under each cap finishes (one more is size_cap, in TestBadInput)
+CAP_ARGVS = [
+    ("rigidbody", "--inertia=1,2,3", "--j0=1,0.5,0.2", "--steps", str(MAX_SAMPLES)),
+    ("rydberg", "--kmax", str(MAX_KMAX)),
+    ("irrep", "--j", f"{MAX_DIM - 1}/2"),
+]
+
+
+@pytest.mark.parametrize("argv", CAP_ARGVS, ids=lambda argv: " ".join(argv))
+def test_largest_size_under_cap_succeeds(argv):
+    assert check_contract(argv) == 0
+
+
 # (command, required options, optional options) driven by the property test
 CONTRACT_COMMANDS = [
     ("fock-spectrum", (), ("--dim", "--hbar", "--omega", "--count")),
@@ -386,8 +421,19 @@ CONTRACT_COMMANDS = [
     ("blackbody", ("--temperature",),
      ("--volume", "--omega-min", "--omega-max", "--points", "--kbar", "--hbar", "--c")),
     ("cover-check", (), ("--samples", "--seed")),
+    ("rigidbody", ("--inertia", "--j0"), ("--dt", "--steps")),
+    ("rotate", (), ("--axis", "--angle", "--vector", "--apply")),
+    ("euler", ("--matrix",), ()),
+    ("lift", ("--matrix",), ()),
+    ("stefan", (), ("--kbar", "--hbar", "--c")),
+    ("rydberg", (), ("--kmax", "--rh")),
+    ("irrep", ("--j",), ()),
+    ("cg", ("--k", "--l"), ()),
 ]
 PAIR_OPTIONS = {"--lam", "--z", "--evolve"}
+# number of comma-separated values, where an option takes more than one
+LIST_OPTIONS = {**dict.fromkeys(PAIR_OPTIONS, 2),
+                **dict.fromkeys(("--inertia", "--j0", "--vector", "--apply"), 3), "--matrix": 9}
 SPECIAL_NUMBERS = ("0", "-1", str(MAX_LEVELS - 1), str(MAX_LEVELS + 1), "1000000000",
                    "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-1e-308")
 
@@ -417,6 +463,14 @@ CONTRACT_COUNTEREXAMPLES = [
     ("highest-weight", "--u=1e308", "--v=0", "--hbar=1e308"),
     ("highest-weight", "--u=1e308", "--v=1e308", "--alpha=-1e308"),
     ("highest-weight", "--u=1", "--v=0", "--hbar=1e306", "--max-levels=2048"),
+    # shrunk from the rigidbody, rotate, euler, lift, stefan, irrep and cg runs
+    ("rigidbody", "--inertia=2047,2047,nan", "--j0=0,0,0"),
+    ("rotate", "--vector=0,0,inf"),
+    ("euler", "--matrix=0,0,0,0,0,0,0,0,1e308"),
+    ("lift", "--matrix=0,0,0,0,0,0,0,0,1e308"),
+    ("stefan", "--hbar=1e308"),
+    ("irrep", "--j=2047"),
+    ("cg", "--k=0", "--l=2047"),
 ]
 
 
@@ -433,6 +487,10 @@ def test_contract_property(command, required, optional):
     st = hypothesis.strategies
     number = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-2, 60).map(str),
                        st.floats(-1e3, 1e3).map(repr))
+    # spins up to 6 keep each cg run short; the caps are reached through SPECIAL_NUMBERS
+    spin = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-2, 12).map(lambda n: f"{n}/2"))
+    values = {"--axis": st.sampled_from(("x", "y", "z")),
+              **dict.fromkeys(("--j", "--k", "--l"), spin)}
 
     @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None,
                          suppress_health_check=[hypothesis.HealthCheck.too_slow])
@@ -441,9 +499,8 @@ def test_contract_property(command, required, optional):
         argv = [command]
         for option in required + optional:
             if option in required or data.draw(st.booleans()):
-                value = data.draw(number)
-                if option in PAIR_OPTIONS:
-                    value += "," + data.draw(number)
+                draw = values.get(option, number)
+                value = ",".join(data.draw(draw) for _ in range(LIST_OPTIONS.get(option, 1)))
                 argv.append(f"{option}={value}")
         check_contract(argv)
 

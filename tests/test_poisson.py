@@ -1,5 +1,6 @@
 """Canonical and rotational brackets, rigid-body dynamics."""
 
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from liequant.poisson import (
     P,
     Q,
     RigidBodyState,
+    SparsePoly,
     euler_rhs,
     integrate_rigid_body,
     lie_poisson_so3,
@@ -170,3 +172,208 @@ class TestIntegrator:
     def test_rejects_bad_inertia(self):
         with pytest.raises(DomainError, match="bad_inertia"):
             RigidBodyState((1.0, 0.0, 0.0), (1.0, -2.0, 3.0))
+
+
+class TestTrajectoryAccess:
+    def test_sequence_protocol(self):
+        s0 = RigidBodyState((1.0, 0.5, 0.2), (1.0, 2.0, 3.0))
+        traj = integrate_rigid_body(s0, 1e-2, 10)
+        states = list(traj)
+        assert len(traj) == 11 and len(states) == 11
+        assert traj[0] == s0 and traj[-1] == states[-1] and traj[-11] == s0
+        assert traj[2:9:3] == [states[2], states[5], states[8]]
+        assert traj == states and traj != states[:-1] and traj != "rows"
+        with pytest.raises(IndexError):
+            traj[11]
+
+    def test_not_finite_trajectory(self):
+        s0 = RigidBodyState((1e200, 1.0, 1.0), (1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match="not_finite"):
+            integrate_rigid_body(s0, 1.0, 3)
+
+    def test_not_finite_energy(self):
+        # J stays finite on a principal axis, but E = J^2 / (2 I) overflows
+        s0 = RigidBodyState((1e5, 0.0, 0.0), (1e-300, 1.0, 1.0))
+        traj = integrate_rigid_body(s0, 1e-3, 2)
+        with pytest.raises(DomainError, match="not_finite"):
+            trajectory_csv(traj)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles: the per-step RK4, CSV writer and _add_term arithmetic
+# that the flat-row integrator and the trusted polynomial sums replaced.
+
+
+def reference_integrate(s0, dt, steps):
+    """One RigidBodyState per RK4 step, tuples rebuilt at every stage."""
+    inertia = s0.I
+
+    def rhs(j):
+        w = (j[0] / inertia[0], j[1] / inertia[1], j[2] / inertia[2])
+        return (j[1] * w[2] - j[2] * w[1], j[2] * w[0] - j[0] * w[2], j[0] * w[1] - j[1] * w[0])
+
+    out = [s0]
+    j = s0.J
+    for k in range(1, steps + 1):
+        k1 = rhs(j)
+        k2 = rhs(tuple(j[i] + 0.5 * dt * k1[i] for i in range(3)))
+        k3 = rhs(tuple(j[i] + 0.5 * dt * k2[i] for i in range(3)))
+        k4 = rhs(tuple(j[i] + dt * k3[i] for i in range(3)))
+        j = tuple(j[i] + dt / 6.0 * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]) for i in range(3))
+        out.append(RigidBodyState(j, inertia, s0.t + k * dt))
+    return out
+
+
+def reference_csv(trajectory):
+    buf = io.StringIO()
+    buf.write("t,J1,J2,J3,E,Jsq\n")
+    for s in trajectory:
+        buf.write(f"{s.t:.17g},{s.J[0]:.17g},{s.J[1]:.17g},{s.J[2]:.17g},"
+                  f"{s.energy:.17g},{s.j_squared:.17g}\n")
+    return buf.getvalue()
+
+
+class ReferencePoly:
+    """Sparse polynomial whose every term goes through the validating _add_term."""
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = nvars
+        self.terms = {}
+        for expo, coeff in (terms or {}).items():
+            self._add_term(tuple(expo), Fraction(coeff) if isinstance(coeff, int) else coeff)
+
+    def _add_term(self, expo, coeff):
+        if len(expo) != self.nvars or any(e < 0 for e in expo):
+            raise DomainError("bad_exponent", str(expo))
+        new = self.terms.get(expo, 0) + coeff
+        if new == 0:
+            self.terms.pop(expo, None)
+        else:
+            self.terms[expo] = new
+
+    def __add__(self, other):
+        out = ReferencePoly(self.nvars, self.terms)
+        for expo, coeff in other.terms.items():
+            out._add_term(expo, coeff)
+        return out
+
+    def __neg__(self):
+        return ReferencePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = ReferencePoly(self.nvars)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                out._add_term(tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        return out
+
+    def diff(self, var):
+        out = ReferencePoly(self.nvars)
+        for expo, coeff in self.terms.items():
+            k = expo[var]
+            if k:
+                new = list(expo)
+                new[var] = k - 1
+                out._add_term(tuple(new), coeff * k)
+        return out
+
+
+def reference_bracket(f, g):
+    """poisson_pq or lie_poisson_so3, written for ReferencePoly."""
+    if f.nvars == 2:
+        return f.diff(0) * g.diff(1) - g.diff(0) * f.diff(1)
+    df = [f.diff(k) for k in range(3)]
+    dg = [g.diff(k) for k in range(3)]
+    cross = [df[1] * dg[2] - df[2] * dg[1], df[2] * dg[0] - df[0] * dg[2],
+             df[0] * dg[1] - df[1] * dg[0]]
+    js = [ReferencePoly(3, {tuple(int(i == k) for i in range(3)): 1}) for k in range(3)]
+    return js[0] * cross[0] + js[1] * cross[1] + js[2] * cross[2]
+
+
+def bracket(f, g):
+    return poisson_pq(f, g) if f.nvars == 2 else lie_poisson_so3(f, g)
+
+
+def same_terms(poly, ref):
+    """Equal terms in equal order with equal coefficient types."""
+    return (list(poly.terms.items()) == list(ref.terms.items())
+            and [type(c) for c in poly.terms.values()] == [type(c) for c in ref.terms.values()])
+
+
+def workload_poly(rng, nvars, nterms=3):
+    """The benchmark's bracket generator: nterms monomials, degree <= 3 per variable."""
+    terms = {}
+    while len(terms) < nterms:
+        expo = tuple(int(e) for e in rng.integers(0, 4, nvars))
+        numerator = int(rng.choice([-1, 1]) * rng.integers(1, 10))
+        terms[expo] = Fraction(numerator, int(rng.integers(1, 10)))
+    return terms
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_csv_bytes(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        for dt in (1e-3, -1e-3, 2e-3, 0.1, -0.1):
+            for steps in (0, 1, 250):
+                inertia = tuple(float(x) for x in np.sort(rng.uniform(0.5, 3.0, 3)))
+                s0 = RigidBodyState(tuple(rng.standard_normal(3)), inertia, float(seed))
+                traj = integrate_rigid_body(s0, dt, steps)
+                expected = reference_integrate(s0, dt, steps)
+                assert list(traj) == expected
+                assert trajectory_csv(traj) == reference_csv(expected)
+                assert trajectory_csv(expected) == reference_csv(expected)
+
+    def test_no_state_per_step(self, monkeypatch):
+        s0 = RigidBodyState((1.0, 0.5, 0.2), (1.0, 2.0, 3.0))
+        built = []
+        original = RigidBodyState.__post_init__
+        monkeypatch.setattr(RigidBodyState, "__post_init__",
+                            lambda self: built.append(1) or original(self))
+        text = trajectory_csv(integrate_rigid_body(s0, 1e-3, 3000))
+        assert built == [] and text.count("\n") == 3002
+
+    @pytest.mark.parametrize("kind", ["pq", "so3"])
+    def test_bracket_terms_on_workload_polys(self, kind):
+        nvars = 2 if kind == "pq" else 3
+        rng = np.random.default_rng(17 if kind == "pq" else 18)
+        for _ in range(12):
+            triple = [workload_poly(rng, nvars) for _ in range(3)]
+            f, g, h = (SparsePoly(nvars, t) for t in triple)
+            rf, rg, rh = (ReferencePoly(nvars, t) for t in triple)
+            for a, b, c, ra, rb, rc in ((f, g, h, rf, rg, rh), (g, h, f, rg, rh, rf)):
+                assert same_terms(bracket(a, bracket(b, c)),
+                                  reference_bracket(ra, reference_bracket(rb, rc)))
+
+    @pytest.mark.parametrize("f_terms, g_terms", [
+        ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),        # (p+q)(p-q): pq cancels
+        ({(2, 0): Fraction(1, 2)}, {(2, 0): Fraction(1, 2)}),     # f - g is zero
+        ({(1, 0): 0.5, (0, 1): 1}, {(0, 1): 1, (1, 0): -0.5}),    # floats cancel to 0.0
+        ({(1, 0): 0.5, (0, 1): 1, (1, 1): Fraction(1, 3)},
+         {(0, 1): 1, (1, 0): -0.5, (0, 0): 3}),                   # then a Fraction lands there
+        ({(1, 1): 1e-200, (0, 0): 1}, {(1, 1): 1e-200, (2, 2): -1}),  # the product underflows
+    ])
+    def test_arithmetic_on_cancelling_cases(self, f_terms, g_terms):
+        f, g = poly_pq(f_terms), poly_pq(g_terms)
+        rf, rg = ReferencePoly(2, f_terms), ReferencePoly(2, g_terms)
+        for poly, ref in ((f + g, rf + rg), (f - g, rf - rg), (-f, -rf), (f * g, rf * rg),
+                          (f * f - g * g, rf * rf - rg * rg), (f.diff(0), rf.diff(0)),
+                          (g.diff(1), rg.diff(1)), (poisson_pq(f, g), reference_bracket(rf, rg))):
+            assert same_terms(poly, ref)
+        assert (f - f).is_zero() and (f * 0).is_zero()
+
+    def test_brackets_do_not_revalidate(self, monkeypatch):
+        f, g = J1 * J2 + J3 * J3 * J3, J1 * J1 - 2 * J2 * J3
+        p, q = P * P * Q - Q, Q * Q + P
+        monkeypatch.setattr(SparsePoly, "_add_term", lambda *args: pytest.fail("_add_term ran"))
+        assert not lie_poisson_so3(f, g).is_zero()
+        assert not poisson_pq(p, q).is_zero()
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(DomainError, match="bad_exponent"):
+            poly_pq({(1, -1): 1})
+        with pytest.raises(DomainError, match="bad_exponent"):
+            poly_j({(1, 0): 1})

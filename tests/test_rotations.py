@@ -1,10 +1,12 @@
 """Hat map, Rodrigues formula, Euler angles, covering map and its lift."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from liequant.errors import DomainError
-from liequant.matrixcore import expm, is_special_orthogonal
+from liequant.matrixcore import Tolerance, expm, is_special_orthogonal
 from liequant.rotations import (
     Rotation,
     SU2Element,
@@ -216,3 +218,99 @@ class TestLift:
             key = (u.x.real, u.x.imag, u.y.real, u.y.imag)
             first = next((v for v in key if abs(v) > 1e-12), 0.0)
             assert first >= 0.0
+
+
+class TestRotationCheck:
+    """Rotation's own check against the is_special_orthogonal verdict it replaced."""
+
+    @staticmethod
+    def reference_token(m):
+        m = np.asarray(m, dtype=float)
+        if m.shape != (3, 3):
+            return "shape"
+        try:
+            with np.errstate(over="ignore"):
+                ok = is_special_orthogonal(m, Tolerance(1e-9, 0.0))
+        except DomainError as err:
+            return err.token
+        return None if ok else "not_rotation"
+
+    @staticmethod
+    def token(m):
+        try:
+            Rotation(m)
+        except DomainError as err:
+            return err.token
+        return None
+
+    @staticmethod
+    def boundary_matrices(rng):
+        """Seeded rotations pushed to within 1e-12 of the 1e-9 bounds, and reflections."""
+        for _ in range(300):
+            q = covering_map(haar_su2(rng)).m
+            delta = rng.uniform(-1e-12, 1e-12)
+            # (1 + s)^2 - 1 = 1e-9 + delta puts max|m^T m - 1| at the bound
+            s = np.sqrt(1.0 + 1e-9 + delta) - 1.0
+            stretch = np.eye(3)
+            stretch[rng.integers(3), rng.integers(3)] += s
+            yield q @ stretch
+            # c^3 = 1 + 1e-9 + delta puts |det - 1| at the bound with m^T m inside it
+            yield q * np.cbrt(1.0 + 1e-9 + delta)
+            yield q * np.cbrt(1.0 - 1e-9 - delta)
+            yield -q
+            yield q @ np.diag([1.0, 1.0, -1.0])
+
+    def test_verdicts_match_near_the_bounds(self):
+        rng = np.random.default_rng(2024)
+        verdicts = [(self.token(m), self.reference_token(m)) for m in self.boundary_matrices(rng)]
+        assert all(new == ref for new, ref in verdicts)
+        # both outcomes occur, so the comparison is not one-sided
+        assert {ref for _, ref in verdicts} == {None, "not_rotation"}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, 3.0])
+    def test_tokens_match_for_bad_entries(self, bad):
+        for i in range(9):
+            m = np.eye(3).ravel()
+            m[i] = bad
+            m = m.reshape(3, 3)
+            assert self.token(m) == self.reference_token(m) is not None
+
+    def test_shape_token(self):
+        assert self.token(np.eye(2)) == self.reference_token(np.eye(2)) == "shape"
+
+    def test_no_complex_cast_or_tolerance(self, monkeypatch):
+        from liequant import matrixcore
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Rotation built a Tolerance or a complex copy")
+
+        monkeypatch.setattr(matrixcore, "as_square", refuse)
+        monkeypatch.setattr(matrixcore.Tolerance, "__post_init__", refuse)
+        rng = np.random.default_rng(11)
+        u = haar_su2(rng)
+        assert covering_map(lift_to_su2(covering_map(u))).m.shape == (3, 3)
+        assert rodrigues([0.3, -1.1, 0.7]).m.shape == (3, 3)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("a", [[np.inf, 0, 0], [0, np.nan, 0], [1e200, 1e200, 0]])
+    def test_rodrigues(self, a):
+        with pytest.raises(DomainError, match="not_finite"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rodrigues(a)
+
+    def test_huge_rotation_vector(self):
+        # the angle is finite, but X(a)^2 is past the float range
+        with pytest.raises(DomainError, match="not_finite"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rodrigues([1e160, 0.0, 0.0])
+
+    @pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+    def test_elementary(self, angle):
+        with pytest.raises(DomainError, match="not_finite"):
+            elementary("x", angle)
+
+    @pytest.mark.parametrize("v", [[0.0, 0.0, np.inf], [np.nan, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]])
+    def test_apply(self, v):
+        with pytest.raises(DomainError, match="not_finite"):
+            rodrigues([0.0, 0.0, np.pi / 4]).apply(v)

@@ -229,3 +229,89 @@ class TestAssign:
             assign_lines(SpectrumDataset([1.0]), EnergyLevels([0.0]))
         with pytest.raises(DomainError, match="bad_lines"):
             SpectrumDataset([1.0, -2.0])
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the per-line assignment loop that one (lines x pairs)
+# term array replaced.
+
+
+def reference_best_assignment(e, data, hbar):
+    n = e.size
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(1, n + 1) if e[j - 1] > e[k - 1]]
+    if not pairs:
+        raise DomainError("degenerate_levels", "no positive energy differences")
+    gaps = np.array([e[j - 1] - e[k - 1] for j, k in pairs])
+    upper = np.empty(len(data), dtype=int)
+    lower = np.empty(len(data), dtype=int)
+    for l in range(len(data)):
+        terms = (gaps / (hbar * data.omegas[l]) - 1.0) ** 2
+        best = np.argmin(terms)
+        tied = np.where(terms <= terms[best] * (1 + 1e-12) + 1e-300)[0]
+        upper[l], lower[l] = min(pairs[i] for i in tied)
+    return upper, lower
+
+
+def workload_lines(rng, levels, noise=1e-6, min_sep=0.02):
+    """The benchmark's line lists: transition frequencies at least min_sep apart."""
+    while True:
+        truth = np.concatenate([[0.0], np.cumsum(rng.uniform(1.0, 2.0, levels - 1))])
+        freqs = np.sort([truth[j] - truth[k] for j in range(levels) for k in range(j)])
+        if np.min(np.diff(freqs)) >= min_sep:
+            break
+    omegas = freqs * (1.0 + noise * rng.standard_normal(freqs.size))
+    trial = truth + rng.normal(0.0, 1e-3, levels)
+    return SpectrumDataset(omegas, rng.uniform(0.5, 1.5, freqs.size)), trial
+
+
+def same_assignment(got, want):
+    return all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+class TestAssignmentAgainstReference:
+    def test_integer_level_ties(self):
+        rng = np.random.default_rng(2000)
+        outcomes = set()
+        for _ in range(2000):
+            # multiples of 0.1 are inexact, so differences tie only within the 1e-12 slack
+            e = np.sort(rng.integers(0, 5, rng.integers(2, 7)) * rng.choice([1.0, 0.1]))
+            omegas = rng.integers(1, 5, rng.integers(1, 8)) / rng.choice([1.0, 2.0, 10.0])
+            data = SpectrumDataset(omegas)
+            hbar = float(rng.choice([0.5, 1.0, 2.0]))
+            try:
+                want = reference_best_assignment(e, data, hbar)
+            except DomainError:
+                with pytest.raises(DomainError, match="degenerate_levels"):
+                    _best_assignment(e, data, hbar)
+                outcomes.add("degenerate")
+                continue
+            assert same_assignment(_best_assignment(e, data, hbar), want)
+            outcomes.add("assigned")
+        assert outcomes == {"assigned", "degenerate"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_solutions_on_workload_line_lists(self, seed, monkeypatch):
+        rng = np.random.default_rng(700 + seed)
+        for levels in (6, 7, 8):
+            data, trial = workload_lines(rng, levels)
+            start = int(rng.integers(1 << 30))
+            solve = lambda: assign_lines_multistart(  # noqa: E731
+                data, EnergyLevels(trial), n_starts=3, rng=np.random.default_rng(start))
+            got = solve()
+            with monkeypatch.context() as m:
+                m.setattr("liequant.spectra._best_assignment", reference_best_assignment)
+                want = solve()
+            assert np.array_equal(got.levels, want.levels)
+            assert same_assignment((got.upper, got.lower), (want.upper, want.lower))
+            assert (got.objective, got.stopped_on, got.flags) == \
+                (want.objective, want.stopped_on, want.flags)
+
+    def test_no_loop_over_lines(self):
+        import ast
+        import inspect
+
+        from liequant import spectra
+
+        tree = ast.parse(inspect.getsource(spectra._best_assignment))
+        loops = (ast.For, ast.While, ast.comprehension)
+        assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
