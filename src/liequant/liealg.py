@@ -44,12 +44,14 @@ class LieAlgebraBasis:
 
     def __post_init__(self):
         c = np.asarray(self.c)
-        if c.ndim != 3 or len({*c.shape}) != 1:
-            raise DomainError("shape", "structure tensor must be dim^3")
+        if c.ndim != 3 or len({*c.shape}) != 1 or c.shape[0] == 0:
+            raise DomainError("shape", "structure tensor must be dim^3 with dim >= 1")
         if c.shape[0] != len(self.names):
             raise DomainError("shape", "generator names do not match tensor dim")
         if c.shape[0] > DIM_CAP:
             raise DomainError("dim_cap", f"dimension {c.shape[0]} exceeds cap {DIM_CAP}")
+        if not np.all(np.isfinite(c)):
+            raise DomainError("not_finite", "structure constants contain NaN/Inf entries")
         object.__setattr__(self, "c", c)
 
     @property
@@ -129,9 +131,17 @@ class MatrixRealization:
 def verify_jacobi(basis: LieAlgebraBasis) -> float:
     """Max absolute Jacobi contraction over all index quadruples."""
     c = basis.c
-    term = np.einsum("jkm,mln->jkln", c, c)
-    total = term + np.einsum("klm,mjn->jkln", c, c) + np.einsum("ljm,mkn->jkln", c, c)
-    return float(np.max(np.abs(total)))
+    d = c.shape[0]
+    # one GEMM: row (j, k, l) of t is sum_m c[j,k,m] c[m,l,:]; the other two
+    # terms of the contraction are rows (k, l, j) and (l, j, k) of the same t
+    t = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d ** 3, d)
+    # the sum is the same for every cyclic rotation of (j, k, l), and each
+    # rotation class has a member with j <= k and j <= l (about d^3/3 rows)
+    i = np.arange(d)
+    first = i[:, None, None]
+    j, k, l = np.nonzero((first <= i[:, None]) & (first <= i))
+    total = t[(j * d + k) * d + l] + t[(k * d + l) * d + j] + t[(l * d + j) * d + k]
+    return float(np.max(np.abs(total), initial=0.0))
 
 
 def killing_form(basis: LieAlgebraBasis) -> np.ndarray:

@@ -203,6 +203,8 @@ class RigidBodyState:
         I = tuple(float(x) for x in self.I)
         if len(J) != 3 or len(I) != 3:
             raise DomainError("shape", "J and I must be 3-vectors")
+        if not all(map(math.isfinite, (*J, *I, self.t))):
+            raise DomainError("not_finite", "J, I and t must be finite")
         if min(I) <= 0:
             raise DomainError("bad_inertia", "principal moments must be positive")
         object.__setattr__(self, "J", J)

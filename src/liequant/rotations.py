@@ -3,6 +3,7 @@ axis extraction, and the two-to-one covering map with its kernel."""
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,8 @@ class SU2Element:
     y: complex
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
+            raise DomainError("not_finite", "x and y must be finite")
         if abs(abs(self.x) ** 2 + abs(self.y) ** 2 - 1.0) > 1e-12:
             raise DomainError("not_unit", "|x|^2 + |y|^2 must be 1")
 

@@ -34,6 +34,9 @@ __all__ = [
 RYDBERG_CONSTANT = 1.1e7  # 1/m
 # k_max (k_max - 1)/2 lines; rydberg --kmax 1000 takes about 1.3 s and 136 MB on a 2-core VM
 MAX_KMAX = 1000
+# lines x level pairs in the assignment term array (about 9 B each); 120 levels
+# and 1680 lines (11,995,200 terms) take about 1 s and 143 MB on a 2-core VM
+MAX_ASSIGN_TERMS = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,7 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
 
     Stops when the assignment repeats or after ``max_iters`` rounds,
     whichever comes first; the solution records which criterion fired.
+    More than ``MAX_ASSIGN_TERMS`` lines x level pairs raise ``size_cap``.
     """
     if len(initial) < 2:
         raise DomainError("too_few", "need at least two trial levels")
@@ -215,6 +219,9 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
         raise DomainError("bad_iters", "max_iters must be at least 1")
     if not 0 < hbar < np.inf:  # also rejects NaN
         raise DomainError("bad_hbar", "hbar must be positive and finite")
+    n = len(initial)
+    if len(data) * (n * (n - 1) // 2) > MAX_ASSIGN_TERMS:  # before any term array
+        raise DomainError("size_cap", f"lines x level pairs must be at most {MAX_ASSIGN_TERMS}")
     e = initial.values - initial.values[0]  # adopt the gauge up front
     flags: tuple = ()
     upper = lower = None

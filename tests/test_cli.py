@@ -325,6 +325,10 @@ class TestBadInput:
         ({}, ("rotate", "--vector=0,0,inf"), "not_finite"),
         ({}, ("rotate", "--vector=0,0,1", "--apply=0,0,nan"), "not_finite"),
         ({}, ("euler", "--matrix=0,0,0,0,0,0,0,0,1e308"), "not_rotation"),
+        # 4000 lines x 7140 level pairs, over spectra.MAX_ASSIGN_TERMS
+        ({"d.csv": "omega,weight\n" + "1.0,1.0\n" * 4000,
+          "l.json": json.dumps({"levels": list(range(120))})},
+         ("assign", "--data", "d.csv", "--levels", "l.json", "--max-iters", "5"), "size_cap"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -429,7 +433,9 @@ CONTRACT_COMMANDS = [
     ("rydberg", (), ("--kmax", "--rh")),
     ("irrep", ("--j",), ()),
     ("cg", ("--k", "--l"), ()),
+    ("algebra-verify", ("--name",), ("--dump",)),
 ]
+FLAG_OPTIONS = {"--dump"}
 PAIR_OPTIONS = {"--lam", "--z", "--evolve"}
 # number of comma-separated values, where an option takes more than one
 LIST_OPTIONS = {**dict.fromkeys(PAIR_OPTIONS, 2),
@@ -489,7 +495,18 @@ def test_contract_property(command, required, optional):
                        st.floats(-1e3, 1e3).map(repr))
     # spins up to 6 keep each cg run short; the caps are reached through SPECIAL_NUMBERS
     spin = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-2, 12).map(lambda n: f"{n}/2"))
-    values = {"--axis": st.sampled_from(("x", "y", "z")),
+    # builtin and family names on both sides of DIM_CAP, sizes that no family
+    # takes, huge integers and malformed text
+    size = st.integers(0, 13).map(str)
+    args = st.lists(st.one_of(size, st.sampled_from(SPECIAL_NUMBERS)), min_size=1, max_size=2)
+    name = st.one_of(
+        st.sampled_from(("so3", "su2", "heisenberg_t3", "oscillator_os1", "gl(8)", "gl(9)",
+                         "so(6,5)", "sp(12)", "gl(0)", "so(1,0)", "sp(3)",
+                         "sl(99999999999999999999)", "gl(", "so(2,x)", "")),
+        st.builds("{}({})".format, st.sampled_from(("gl", "sl", "sp")), size),
+        st.builds("so({},{})".format, size, size),
+        st.builds("{}({})".format, st.sampled_from(("gl", "sl", "so", "sp")), args.map(",".join)))
+    values = {"--axis": st.sampled_from(("x", "y", "z")), "--name": name,
               **dict.fromkeys(("--j", "--k", "--l"), spin)}
 
     @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None,
@@ -498,7 +515,9 @@ def test_contract_property(command, required, optional):
     def check(data):
         argv = [command]
         for option in required + optional:
-            if option in required or data.draw(st.booleans()):
+            if option in FLAG_OPTIONS:
+                argv += [option] * data.draw(st.booleans())
+            elif option in required or data.draw(st.booleans()):
                 draw = values.get(option, number)
                 value = ",".join(data.draw(draw) for _ in range(LIST_OPTIONS.get(option, 1)))
                 argv.append(f"{option}={value}")

@@ -1,5 +1,7 @@
 """Structure constants, builtin algebras, Killing form, Weyl relation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,13 @@ def brute_jacobi(c):
     return worst
 
 
+def einsum_jacobi(c):
+    """Oracle: the three unoptimised 5-index contractions over all quadruples."""
+    term = np.einsum("jkm,mln->jkln", c, c)
+    total = term + np.einsum("klm,mjn->jkln", c, c) + np.einsum("ljm,mkn->jkln", c, c)
+    return float(np.max(np.abs(total)))
+
+
 class TestBuiltins:
     def test_so3_constants(self):
         basis, _ = builtin_algebra("so3")
@@ -156,6 +165,23 @@ class TestBuiltins:
         with pytest.raises(DomainError, match="dim_cap"):
             builtin_algebra(name)
 
+    def test_rejects_dim_zero(self):
+        with pytest.raises(DomainError, match="shape"):
+            LieAlgebraBasis("empty", (), np.zeros((0, 0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_rejects_non_finite_constants(self, bad):
+        c = np.zeros((2, 2, 2), dtype=type(bad))
+        c[0, 1, 1] = bad
+        with pytest.raises(DomainError, match="not_finite"):
+            LieAlgebraBasis("bad", ("x", "y"), c)
+        with pytest.raises(DomainError, match="not_finite"):
+            LieAlgebraBasis("bad", ("x",), [[[bad]]])
+
+    def test_from_json_rejects_non_finite_constants(self):
+        with pytest.raises(DomainError, match="not_finite"):
+            LieAlgebraBasis.from_json('{"name": "bad", "names": ["x"], "c": [[[NaN]]]}')
+
     def test_json_round_trip(self):
         basis, _ = builtin_algebra("sp(4)")
         again = LieAlgebraBasis.from_json(basis.to_json())
@@ -207,6 +233,49 @@ class TestJacobi:
             basis, _ = builtin_algebra(name)
             assert abs(verify_jacobi(basis) - brute_jacobi(basis.c)) < 1e-14
 
+    @pytest.mark.parametrize("name", UP_TO_CAP)
+    def test_builtins_against_einsum_oracle(self, name):
+        # exact sums agree bitwise; lstsq-built constants off the integers
+        # may differ in the last bit of a residual near 1e-15
+        basis = builtin_algebra(name)[0]
+        got, want = verify_jacobi(basis), einsum_jacobi(basis.c)
+        if np.array_equal(basis.c, np.round(basis.c)):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "antisymmetric", "integer"])
+    def test_random_tensors_against_einsum_oracle(self, kind):
+        rng = np.random.default_rng(29)
+        for d in range(1, 13):
+            if kind == "integer":
+                c = rng.integers(-3, 4, (d, d, d))
+            else:
+                c = rng.standard_normal((d, d, d))
+            if kind == "complex":
+                c = c + 1j * rng.standard_normal((d, d, d))
+            if kind == "antisymmetric":
+                c = c - c.swapaxes(0, 1)
+            got = verify_jacobi(LieAlgebraBasis("random", tuple(map(str, range(d))), c))
+            want = einsum_jacobi(c)
+            if kind == "integer":
+                assert got == want
+            else:
+                assert abs(got - want) <= 1e-14 * want
+
+    def test_allocation_bound_at_cap(self):
+        # a deterministic memory bound, not a timing gate: the einsum oracle
+        # holds 3 d^4 entries at once, the GEMM about 1.7 d^4
+        basis = builtin_algebra("gl(8)")[0]
+        assert basis.dim == DIM_CAP
+        tracemalloc.start()
+        try:
+            verify_jacobi(basis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * basis.dim ** 4 * basis.c.itemsize
+
 
 class TestKillingForm:
     def test_so3_is_minus_two_identity(self):
@@ -223,6 +292,12 @@ class TestKillingForm:
         basis, _ = builtin_algebra("heisenberg_t3")
         assert abs(np.linalg.det(brute_killing(basis))) < 1e-14
         assert abs(np.linalg.det(killing_form(basis))) < 1e-14
+
+    @pytest.mark.parametrize("name", UP_TO_CAP)
+    def test_equals_einsum(self, name):
+        # a GEMM form of B changes its last bits, and algebra-verify prints B
+        basis = builtin_algebra(name)[0]
+        assert np.array_equal(killing_form(basis), np.einsum("jba,mab->jm", basis.c, basis.c))
 
     def test_symmetry(self):
         for name in ALL_BUILTINS:

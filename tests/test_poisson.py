@@ -173,6 +173,14 @@ class TestIntegrator:
         with pytest.raises(DomainError, match="bad_inertia"):
             RigidBodyState((1.0, 0.0, 0.0), (1.0, -2.0, 3.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_fields(self, bad):
+        for j, inertia, t in (((1.0, bad, 0.2), (1.0, 2.0, 3.0), 0.0),
+                              ((1.0, 0.5, 0.2), (1.0, bad, 3.0), 0.0),
+                              ((1.0, 0.5, 0.2), (1.0, 2.0, 3.0), bad)):
+            with pytest.raises(DomainError, match="not_finite"):
+                RigidBodyState(j, inertia, t)
+
 
 class TestTrajectoryAccess:
     def test_sequence_protocol(self):

@@ -192,6 +192,16 @@ class TestCoveringMap:
             assert np.max(np.abs(covering_map(SU2Element(sign, 0.0)).m - np.eye(3))) == 0.0
 
 
+class TestSU2Element:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan")),
+                                     complex(float("-inf"), 0)])
+    @pytest.mark.parametrize("field", ["x", "y"])
+    def test_rejects_non_finite_field(self, field, bad):
+        x, y = (bad, 0.0) if field == "x" else (1.0, bad)
+        with pytest.raises(DomainError, match="not_finite"):
+            SU2Element(x, y)
+
+
 class TestLift:
     def test_identity(self):
         u = lift_to_su2(Rotation(np.eye(3)))

@@ -6,6 +6,7 @@ import pytest
 from liequant.errors import DomainError
 from liequant.spectra import (
     EnergyLevels,
+    MAX_ASSIGN_TERMS,
     RYDBERG_CONSTANT,
     SpectrumDataset,
     assign_lines,
@@ -115,6 +116,18 @@ class TestAssign:
         assert np.max(np.abs(sol.levels - e_true)) <= 1e-9
         assert sol.objective <= 1e-18
         assert sol.stopped_on == "converged"
+
+    def test_size_cap_before_any_term_array(self, monkeypatch):
+        # 120 levels have 7140 pairs: 1680 lines fit under the cap, 1681 do not
+        def refuse(*args):
+            raise AssertionError("term array built before the size check")
+        monkeypatch.setattr("liequant.spectra._best_assignment", refuse)
+        levels = EnergyLevels(np.arange(120.0))
+        assert 1680 * 7140 <= MAX_ASSIGN_TERMS < 1681 * 7140
+        with pytest.raises(DomainError, match="size_cap"):
+            assign_lines(SpectrumDataset(np.ones(1681)), levels)
+        with pytest.raises(AssertionError, match="term array"):
+            assign_lines(SpectrumDataset(np.ones(1680)), levels)
 
     def test_single_line(self):
         sol = assign_lines(SpectrumDataset([1.0]), EnergyLevels([0.0, 1.0]))
