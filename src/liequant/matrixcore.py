@@ -164,7 +164,8 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
     ``tol.bound(||H||_F)`` and ``||V* V - 1||_F`` at most
     ``tol.bound(1)``.  A failed check raises
     ``DomainError("eig_certificate")`` instead of returning an
-    unverified result.
+    unverified result, and a Frobenius norm past the float range, for
+    which no bound can be checked, raises ``DomainError("not_finite")``.
 
     Parameters
     ----------
@@ -181,11 +182,15 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
     a = as_square(a)
     if not is_hermitian(a, tol):
         raise DomainError("not_hermitian", "eig_hermitian requires a Hermitian matrix")
-    h = 0.5 * (a + a.conj().T)  # exact Hermitian part kills roundoff asymmetry
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the norm inf
+        h = 0.5 * (a + a.conj().T)  # exact Hermitian part kills roundoff asymmetry
+        norm = np.linalg.norm(h)
+    if not np.isfinite(norm):
+        raise DomainError("not_finite", "the Frobenius norm leaves the float range")
     w, v = np.linalg.eigh(h)
     residual = float(np.linalg.norm(h @ v - v * w))
     defect = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))
-    if residual > tol.bound(np.linalg.norm(h)) or defect > tol.bound(1.0):
+    if residual > tol.bound(norm) or defect > tol.bound(1.0):
         raise DomainError("eig_certificate",
                           f"residual {residual:.3g}, unitarity defect {defect:.3g}")
     return w, v

@@ -61,23 +61,23 @@ NATURAL_CONSTANTS = PhysicalConstants(kbar=1.0, hbar=1.0, c=1.0)
 AVOGADRO = 6.02214e23
 
 
-def _hermitian_eigs(h, what: str):
-    h = as_square(h, what)
-    if not is_hermitian(h, DEFAULT_TOL):
-        raise DomainError("not_hermitian", f"{what} must be Hermitian")
-    return eig_hermitian(h)
+def _boltzmann_weights(w: np.ndarray, beta: float) -> np.ndarray:
+    """e^{-beta (E_n - E_0)} for ascending levels E_n, each beta E_n within the float range."""
+    if not math.isfinite(beta * (abs(float(w[0])) + abs(float(w[-1])))):
+        raise DomainError("range", "beta times an energy leaves the float range")
+    return np.exp(-beta * (w - w[0]))
 
 
 def partition_function(h, beta: float) -> float:
     """Z = tr e^{-beta H} = sum_n e^{-beta E_n}, min-shifted for stability."""
     if not 0 < beta < math.inf:  # also rejects NaN
         raise DomainError("bad_beta", "beta must be positive and finite")
-    w, _ = _hermitian_eigs(h, "H")
-    shifted = beta * (w - w[0])
+    w, _ = eig_hermitian(h)
+    weights = _boltzmann_weights(w, beta)
     # deep tails merely underflow; only e^{-beta E_min} can overflow
     if -beta * w[0] > _EXP_GUARD:
         raise DomainError("range", "ground-state weight overflows")
-    return float(np.sum(np.exp(-shifted)) * math.exp(-beta * w[0]))
+    return float(np.sum(weights) * math.exp(-beta * w[0]))
 
 
 class GibbsState:
@@ -88,8 +88,8 @@ class GibbsState:
             raise DomainError("bad_beta", "beta must be positive and finite")
         self.h = as_square(h, "H")
         self.beta = float(beta)
-        self._w, self._v = _hermitian_eigs(self.h, "H")
-        weights = np.exp(-self.beta * (self._w - self._w[0]))
+        self._w, self._v = eig_hermitian(self.h)
+        weights = _boltzmann_weights(self._w, self.beta)
         self._probs = weights / np.sum(weights)
 
     @cached_property
@@ -136,7 +136,7 @@ def _w_from_eigs(w: np.ndarray) -> float:
 
 def generating_functional(f) -> float:
     """W(f) = -log tr e^{-f} for Hermitian f, evaluated in log space."""
-    w, _ = _hermitian_eigs(f, "f")
+    w, _ = eig_hermitian(f)
     return _w_from_eigs(w)
 
 
@@ -159,7 +159,7 @@ def kubo_inner(f, g, h) -> complex:
     h = as_square(h, "h")
     if g.shape != f.shape or h.shape != f.shape:
         raise DomainError("shape", "operands must match f in dimension")
-    w, v = _hermitian_eigs(f, "f")
+    w, v = eig_hermitian(f)
     gt = v.conj().T @ g @ v
     ht = v.conj().T @ h @ v
     diffs = w[np.newaxis, :] - w[:, np.newaxis]  # lambda_n - lambda_m

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import liequant
-from liequant.cli import MAX_SAMPLES, main
+from liequant.cli import MAX_ORDER, MAX_SAMPLES, main
 from liequant.fock import MAX_LEVELS
 from liequant.spectra import MAX_KMAX
 from liequant.su2reps import MAX_DIM
@@ -222,6 +222,12 @@ class TestContract:
         _, via_flag, _ = run_cli(capsys, "cover-check", "--samples", "50", "--seed", "11")
         assert via_env == via_flag
 
+    @pytest.mark.parametrize("value", ["-1", "\u00b2", "1.5", " 3"])
+    def test_seed_env_must_be_a_decimal_integer(self, capsys, monkeypatch, value):
+        """A superscript two is a digit to str.isdigit but not to int()."""
+        monkeypatch.setenv("LIEQUANT_SEED", value)
+        assert run_cli(capsys, "cover-check", "--samples", "3") == (1, "", "bad_argument\n")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "w.json"
         code, out, _ = run_cli(capsys, "wien", "--out", str(target))
@@ -329,6 +335,13 @@ class TestBadInput:
         ({"d.csv": "omega,weight\n" + "1.0,1.0\n" * 4000,
           "l.json": json.dumps({"levels": list(range(120))})},
          ("assign", "--data", "d.csv", "--levels", "l.json", "--max-iters", "5"), "size_cap"),
+        # one more than cli.MAX_ORDER levels or matrix rows
+        ({}, ("gibbs", "--levels", ",".join(["0"] * (MAX_ORDER + 1)), "--beta", "1"), "size_cap"),
+        ({"m.json": json.dumps({"matrix": [[0] * (MAX_ORDER + 1)] * (MAX_ORDER + 1)})},
+         ("gibbs", "--in", "m.json", "--beta", "1"), "size_cap"),
+        # beta times an energy, or the Frobenius norm, past the float range
+        ({}, ("gibbs", "--levels=2047", "--beta", "1e308"), "range"),
+        ({}, ("gibbs", "--levels=1e308", "--beta", "2047"), "not_finite"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -409,10 +422,12 @@ CAP_ARGVS = [
     ("rigidbody", "--inertia=1,2,3", "--j0=1,0.5,0.2", "--steps", str(MAX_SAMPLES)),
     ("rydberg", "--kmax", str(MAX_KMAX)),
     ("irrep", "--j", f"{MAX_DIM - 1}/2"),
+    ("gibbs", "--levels=" + ",".join(map(str, range(MAX_ORDER))), "--beta", "1"),
 ]
 
 
-@pytest.mark.parametrize("argv", CAP_ARGVS, ids=lambda argv: " ".join(argv))
+@pytest.mark.parametrize("argv", CAP_ARGVS,
+                         ids=lambda argv: " ".join(a if len(a) < 40 else a[:36] + "..." for a in argv))
 def test_largest_size_under_cap_succeeds(argv):
     assert check_contract(argv) == 0
 
@@ -434,12 +449,16 @@ CONTRACT_COMMANDS = [
     ("irrep", ("--j",), ()),
     ("cg", ("--k", "--l"), ()),
     ("algebra-verify", ("--name",), ("--dump",)),
+    ("fermion-check", (), ("--modes",)),
+    ("gibbs", ("--beta",), ("--levels",)),
+    ("wien", (), ()),
 ]
 FLAG_OPTIONS = {"--dump"}
 PAIR_OPTIONS = {"--lam", "--z", "--evolve"}
 # number of comma-separated values, where an option takes more than one
 LIST_OPTIONS = {**dict.fromkeys(PAIR_OPTIONS, 2),
-                **dict.fromkeys(("--inertia", "--j0", "--vector", "--apply"), 3), "--matrix": 9}
+                **dict.fromkeys(("--inertia", "--j0", "--vector", "--apply"), 3), "--matrix": 9,
+                "--levels": (1, 4)}  # a (min, max) pair: the count is drawn too
 SPECIAL_NUMBERS = ("0", "-1", str(MAX_LEVELS - 1), str(MAX_LEVELS + 1), "1000000000",
                    "nan", "inf", "-inf", "1e308", "-1e308", "1e-308", "-1e-308")
 
@@ -477,6 +496,9 @@ CONTRACT_COUNTEREXAMPLES = [
     ("stefan", "--hbar=1e308"),
     ("irrep", "--j=2047"),
     ("cg", "--k=0", "--l=2047"),
+    # shrunk from the gibbs runs
+    ("gibbs", "--beta=1e308", "--levels=2047"),
+    ("gibbs", "--beta=2047", "--levels=1e308"),
 ]
 
 
@@ -519,8 +541,44 @@ def test_contract_property(command, required, optional):
                 argv += [option] * data.draw(st.booleans())
             elif option in required or data.draw(st.booleans()):
                 draw = values.get(option, number)
-                value = ",".join(data.draw(draw) for _ in range(LIST_OPTIONS.get(option, 1)))
+                count = LIST_OPTIONS.get(option, 1)
+                if isinstance(count, tuple):
+                    count = data.draw(st.integers(*count))
+                value = ",".join(data.draw(draw) for _ in range(count))
                 argv.append(f"{option}={value}")
         check_contract(argv)
 
     check()
+
+
+def loaded_modules(script):
+    """The liequant modules in sys.modules after a fresh interpreter runs ``script``."""
+    script += "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('liequant')))"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(liequant.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+# liequant submodules loaded by each subcommand besides liequant.cli and
+# liequant.errors; None only builds the parser
+SUBCOMMAND_MODULES = {None: set(), "wien": {"thermal", "matrixcore"},
+                      "stefan": {"thermal", "matrixcore"}, "rydberg": {"spectra"}}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_MODULES, ids=str)
+def test_subcommand_loads_only_its_library_module(command):
+    run = f"main([{command!r}])" if command else "build_parser()"
+    loaded = loaded_modules(f"from liequant.cli import build_parser, main\n{run}")
+    expected = {"cli", "errors", *SUBCOMMAND_MODULES[command]}
+    assert loaded == {"liequant", *(f"liequant.{m}" for m in expected)}
+
+
+def test_package_imports_each_submodule_on_first_use():
+    assert loaded_modules("import liequant") == {"liequant", "liequant.errors"}
+    loaded = loaded_modules("import liequant\nassert liequant.su2reps.MAX_DIM == 900\n"
+                            "from liequant import fock\nassert fock.MAX_LEVELS == 2048\n"
+                            "assert not hasattr(liequant, 'no_such_module')")
+    assert {"liequant.su2reps", "liequant.fock"} <= loaded
+    assert not {"liequant.fermion", "liequant.poisson", "liequant.thermal", "liequant.cli"} & loaded

@@ -1,5 +1,7 @@
 """Matrix arithmetic: commutators, the exponential, predicates, eigensolver."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,14 @@ class TestEigHermitian:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError, match="not_hermitian"):
             eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [1e200, 1e308, -1e308])
+    def test_norm_past_float_range_is_not_finite(self, entry):
+        """No certificate bound exists once ||H||_F overflows; no warning escapes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not_finite"):
+                eig_hermitian(np.diag([entry, 0.0]))
 
 
 def _oracle_case(kind, n):

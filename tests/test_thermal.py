@@ -62,6 +62,19 @@ class TestPartitionFunction:
         with pytest.raises(DomainError, match="range"):
             partition_function(np.diag([-2000.0, 0.0]), 1.0)
 
+    def test_beta_times_energy_past_float_range(self):
+        h = np.diag([2047.0])
+        with pytest.raises(DomainError, match="range"):
+            partition_function(h, 1e308)
+        with pytest.raises(DomainError, match="range"):
+            GibbsState(h, 1e308)
+
+    def test_excited_weight_past_float_range_vanishes(self):
+        # beta (E_1 - E_0) is about 2e303: within range, and its weight underflows
+        h = np.diag([0.0, 2047.0])
+        assert partition_function(h, 1e300) == 1.0
+        assert entropy_value(GibbsState(h, 1e300)) == 0.0
+
     @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_beta_must_be_positive_and_finite(self, beta):
         h = np.diag([0.0, 1.0])
