@@ -37,6 +37,9 @@ MAX_KMAX = 1000
 # lines x level pairs in the assignment term array (about 9 B each); 120 levels
 # and 1680 lines (11,995,200 terms) take about 1 s and 143 MB on a 2-core VM
 MAX_ASSIGN_TERMS = 12_000_000
+# lines alone, for the few-level corner of that cap: 3 levels and 500,000 lines
+# take about 0.9 s and 112 MB with max_iters=5 on a 2-core VM
+MAX_ASSIGN_LINES = 500_000
 
 
 @dataclass(frozen=True)
@@ -100,8 +103,8 @@ def difference_spectrum(levels: EnergyLevels, hbar: float = 1.0) -> np.ndarray:
     if len(levels) < 2:
         raise DomainError("too_few", "need at least two levels")
     e = levels.values
-    diffs = [(e[j] - e[k]) / hbar for j in range(len(e)) for k in range(j)]
-    return np.sort(np.array(diffs))
+    j, k = np.tril_indices(e.size, -1)
+    return np.sort((e[j] - e[k]) / hbar)
 
 
 def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
@@ -116,11 +119,10 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
         raise DomainError("size_cap", f"k_max must be at most {MAX_KMAX}")
     if not np.isfinite(r_h):
         raise DomainError("bad_argument", "r_h must be finite")
-    out = []
-    for k in range(1, k_max):
-        for l in range(k + 1, k_max + 1):
-            out.append((k, l, r_h * (1.0 / k**2 - 1.0 / l**2)))
-    return out
+    k, l = np.triu_indices(k_max, 1)
+    k, l = k + 1, l + 1
+    w = r_h * (1.0 / k**2 - 1.0 / l**2)
+    return list(zip(k.tolist(), l.tolist(), w.tolist()))
 
 
 def lorentz_response(force: complex, omega: float, m: float, c: float, k: float) -> float:
@@ -157,51 +159,34 @@ def _refit_levels(e_prev: np.ndarray, upper, lower, data: SpectrumDataset, hbar:
     previous values; the returned flag reports that case.
     """
     n = e_prev.size
-    # connected components of the transition graph
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for j, k in zip(upper, lower):
-        a, b = find(j - 1), find(k - 1)
-        if a != b:
-            parent[a] = b
-    anchored = {i for i in range(n) if find(i) == find(0)}
-    free = sorted(anchored - {0})
-    flags = ()
-    if len(anchored) < n:
-        flags = ("unidentifiable_levels",)
-    if not free:
+    j = np.asarray(upper) - 1
+    k = np.asarray(lower) - 1
+    # the gauge level's component of the transition graph, one layer of lines per pass
+    anchored = np.arange(n) == 0
+    size = 1
+    while True:
+        touching = anchored[j] | anchored[k]
+        anchored[j[touching]] = True
+        anchored[k[touching]] = True
+        if (grown := np.count_nonzero(anchored)) == size:
+            break
+        size = grown
+    flags = () if size == n else ("unidentifiable_levels",)
+    free = np.flatnonzero(anchored[1:]) + 1
+    if not free.size:
         return e_prev.copy(), flags
-    col = {level: idx for idx, level in enumerate(free)}
-    rows = []
-    rhs = []
-    for l, (j, k) in enumerate(zip(upper, lower)):
-        ju, kl = j - 1, k - 1
-        if ju not in anchored:  # whole line lives in a frozen component
-            continue
-        scale = np.sqrt(data.weights[l]) / (hbar * data.omegas[l])
-        row = np.zeros(len(free))
-        if ju != 0:
-            row[col[ju]] += scale
-        if kl != 0:
-            row[col[kl]] -= scale
-        rows.append(row)
-        rhs.append(np.sqrt(data.weights[l]))
-    a = np.vstack(rows)
-    b = np.array(rhs)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < len(free):
+    lines = np.flatnonzero(anchored[j])  # a line in a frozen component is left out
+    root_w = np.sqrt(data.weights[lines])
+    scale = root_w / (hbar * data.omegas[lines])
+    a = np.zeros((lines.size, n))
+    a[np.arange(lines.size), j[lines]] = scale
+    a[np.arange(lines.size), k[lines]] = -scale
+    sol, _, rank, _ = np.linalg.lstsq(a[:, free], root_w, rcond=None)
+    if rank < free.size:
         # rank-deficient inside the anchored component: keep previous values
         return e_prev.copy(), flags + ("unidentifiable_levels",)
     e_new = e_prev.copy()
-    for level, idx in col.items():
-        e_new[level] = sol[idx]
-    e_new[0] = 0.0
+    e_new[free] = sol
     return e_new, flags
 
 
@@ -211,7 +196,8 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
 
     Stops when the assignment repeats or after ``max_iters`` rounds,
     whichever comes first; the solution records which criterion fired.
-    More than ``MAX_ASSIGN_TERMS`` lines x level pairs raise ``size_cap``.
+    More than ``MAX_ASSIGN_LINES`` lines, or ``MAX_ASSIGN_TERMS`` lines x
+    level pairs, raise ``size_cap``.
     """
     if len(initial) < 2:
         raise DomainError("too_few", "need at least two trial levels")
@@ -220,7 +206,9 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
     if not 0 < hbar < np.inf:  # also rejects NaN
         raise DomainError("bad_hbar", "hbar must be positive and finite")
     n = len(initial)
-    if len(data) * (n * (n - 1) // 2) > MAX_ASSIGN_TERMS:  # before any term array
+    if len(data) > MAX_ASSIGN_LINES:  # before any term array
+        raise DomainError("size_cap", f"lines must be at most {MAX_ASSIGN_LINES}")
+    if len(data) * (n * (n - 1) // 2) > MAX_ASSIGN_TERMS:
         raise DomainError("size_cap", f"lines x level pairs must be at most {MAX_ASSIGN_TERMS}")
     e = initial.values - initial.values[0]  # adopt the gauge up front
     flags: tuple = ()

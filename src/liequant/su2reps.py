@@ -83,10 +83,8 @@ def build_irrep(j) -> IrrepDj:
     _check_dim(dim, "2j+1")
     jj = twoj / 2.0
     t3 = np.diag([jj - i for i in range(dim)]).astype(complex)
-    lplus = np.zeros((dim, dim), dtype=complex)
-    for i in range(1, dim):
-        m = jj - i  # raising from row i (eigenvalue m) to row i-1
-        lplus[i - 1, i] = math.sqrt(jj * (jj + 1) - m * (m + 1))
+    m = jj - np.arange(1, dim)  # raising from row i (eigenvalue m) to row i-1
+    lplus = np.diag(np.sqrt(jj * (jj + 1) - m * (m + 1)), 1).astype(complex)
     lminus = lplus.conj().T
     return IrrepDj(twoj, t3, lplus, lminus)
 
@@ -210,13 +208,6 @@ def decompose_restriction(sub_mats, tol: float = 1e-8):
     if np.max(np.abs(cas @ mats - mats @ cas)) > 1e-8:
         raise DomainError("not_subalgebra", "invariant fails to commute")
     w, _ = eig_hermitian(0.5 * (cas + cas.conj().T))
-    blocks = []
-    cluster = 1
-    for i in range(1, len(w)):
-        if abs(w[i] - w[i - 1]) < 1e-6 * max(1.0, abs(w[i])):
-            cluster += 1
-        else:
-            blocks.append(cluster)
-            cluster = 1
-    blocks.append(cluster)
-    return sorted(blocks, reverse=True)
+    same = np.abs(np.diff(w)) < 1e-6 * np.maximum(1.0, np.abs(w[1:]))
+    edges = np.concatenate(([0], np.flatnonzero(~same) + 1, [w.size]))
+    return sorted(np.diff(edges).tolist(), reverse=True)

@@ -90,7 +90,9 @@ class GibbsState:
         self.beta = float(beta)
         self._w, self._v = eig_hermitian(self.h)
         weights = _boltzmann_weights(self._w, self.beta)
-        self._probs = weights / np.sum(weights)
+        total = np.sum(weights)
+        self._probs = weights / total
+        self.log_z = -self.beta * self._w[0] + math.log(total)
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -112,9 +114,7 @@ def gibbs_value(state: GibbsState, g) -> complex:
 def entropy_value(state: GibbsState, kbar: float = 1.0) -> float:
     """<S> = kbar (beta <H> + log Z), nonnegative at finite level count."""
     mean_h = state.value(state.h).real
-    w = state._w
-    log_z = -state.beta * w[0] + math.log(np.sum(np.exp(-state.beta * (w - w[0]))))
-    return kbar * (state.beta * mean_h + log_z)
+    return kbar * (state.beta * mean_h + state.log_z)
 
 
 def schottky_capacity(e_gap: float, temperature: float,
@@ -129,15 +129,9 @@ def schottky_capacity(e_gap: float, temperature: float,
     return (e_gap**2 / (consts.kbar * temperature**2)) * sech_half**2
 
 
-def _w_from_eigs(w: np.ndarray) -> float:
-    """-log sum_n e^{-w_n} for ascending w, evaluated in log space."""
-    return float(w[0] - math.log(np.sum(np.exp(-(w - w[0])))))
-
-
 def generating_functional(f) -> float:
     """W(f) = -log tr e^{-f} for Hermitian f, evaluated in log space."""
-    w, _ = eig_hermitian(f)
-    return _w_from_eigs(w)
+    return float(0.0 - GibbsState(f, 1.0).log_z)  # not -log Z: W stays +0.0 when log Z is 0
 
 
 def _phi_grid(x: np.ndarray) -> np.ndarray:
@@ -152,21 +146,23 @@ def kubo_inner(f, g, h) -> complex:
     """Kubo product <g; h>_f = <g E_f h>_f with E_f h = int_0^1 e^{-sf} h e^{sf} ds.
 
     In the eigenbasis of f the smoothing kernel is entrywise:
-    (E_f h)_{mn} = h_{mn} phi(lambda_n - lambda_m).
+    (E_f h)_{mn} = h_{mn} phi(lambda_n - lambda_m), so the product is
+    sum_mn g_mn h_nm p_m phi(lambda_m - lambda_n).  Since p_m phi(lambda_m -
+    lambda_n) = p_n phi(lambda_n - lambda_m), the kernel is taken as
+    max(p_m, p_n) phi(-|lambda_m - lambda_n|), which lies in (0, 1] and
+    cannot overflow (Kubo, J. Phys. Soc. Jpn. 12, 570, 1957).
     """
     f = as_square(f, "f")
     g = as_square(g, "g")
     h = as_square(h, "h")
     if g.shape != f.shape or h.shape != f.shape:
         raise DomainError("shape", "operands must match f in dimension")
-    w, v = eig_hermitian(f)
+    state = GibbsState(f, 1.0)
+    w, v, p = state._w, state._v, state._probs
     gt = v.conj().T @ g @ v
     ht = v.conj().T @ h @ v
-    diffs = w[np.newaxis, :] - w[:, np.newaxis]  # lambda_n - lambda_m
-    eh = ht * _phi_grid(diffs)
-    probs = np.exp(-(w - w[0]))
-    probs /= np.sum(probs)
-    return complex(np.sum(probs * np.diag(gt @ eh)))
+    kernel = np.maximum(p[:, None], p[None, :]) * _phi_grid(-np.abs(w[:, None] - w[None, :]))
+    return complex(np.sum(gt * ht.T * kernel))
 
 
 def gibbs_bogoliubov_gap(f, g) -> float:
@@ -175,8 +171,8 @@ def gibbs_bogoliubov_gap(f, g) -> float:
     g = as_square(g, "g")
     if f.shape != g.shape:
         raise DomainError("shape", "f and g must have equal dimension")
-    state = GibbsState(f, 1.0)  # the state's eigenvalues of f also give W(f)
-    return _w_from_eigs(state._w) + state.value(g - f).real - generating_functional(g)
+    state = GibbsState(f, 1.0)  # the state's log Z also gives W(f)
+    return float(0.0 - state.log_z) + state.value(g - f).real - generating_functional(g)
 
 
 def limit_resolution(state: GibbsState, g) -> float:

@@ -18,7 +18,7 @@ import pytest
 import liequant
 from liequant.cli import MAX_ORDER, MAX_SAMPLES, main
 from liequant.fock import MAX_LEVELS
-from liequant.spectra import MAX_KMAX
+from liequant.spectra import MAX_ASSIGN_LINES, MAX_KMAX
 from liequant.su2reps import MAX_DIM
 
 
@@ -342,6 +342,10 @@ class TestBadInput:
         # beta times an energy, or the Frobenius norm, past the float range
         ({}, ("gibbs", "--levels=2047", "--beta", "1e308"), "range"),
         ({}, ("gibbs", "--levels=1e308", "--beta", "2047"), "not_finite"),
+        # one more than spectra.MAX_ASSIGN_LINES lines over two levels (one level pair)
+        ({"d.csv": "omega,weight\n" + "1.0,1.0\n" * (MAX_ASSIGN_LINES + 1),
+          "l.json": '{"levels": [0, 1]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "size_cap"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -423,12 +427,20 @@ CAP_ARGVS = [
     ("rydberg", "--kmax", str(MAX_KMAX)),
     ("irrep", "--j", f"{MAX_DIM - 1}/2"),
     ("gibbs", "--levels=" + ",".join(map(str, range(MAX_ORDER))), "--beta", "1"),
+    ("assign", "--data", "cap_lines.csv", "--levels", "cap_levels.json"),
 ]
+# the files named by the assign row: spectra.MAX_ASSIGN_LINES lines over two levels
+CAP_FILES = {"cap_lines.csv": "omega,weight\n" + "1.0,1.0\n" * MAX_ASSIGN_LINES,
+             "cap_levels.json": '{"levels": [0, 1]}'}
 
 
 @pytest.mark.parametrize("argv", CAP_ARGVS,
                          ids=lambda argv: " ".join(a if len(a) < 40 else a[:36] + "..." for a in argv))
-def test_largest_size_under_cap_succeeds(argv):
+def test_largest_size_under_cap_succeeds(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in CAP_FILES.items():
+        if name in argv:
+            (tmp_path / name).write_text(text)
     assert check_contract(argv) == 0
 
 

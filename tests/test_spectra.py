@@ -6,6 +6,7 @@ import pytest
 from liequant.errors import DomainError
 from liequant.spectra import (
     EnergyLevels,
+    MAX_ASSIGN_LINES,
     MAX_ASSIGN_TERMS,
     RYDBERG_CONSTANT,
     SpectrumDataset,
@@ -41,6 +42,16 @@ class TestDifferenceSpectrum:
             levels = EnergyLevels(np.linspace(0.0, 1.0, n) ** 2)
             assert difference_spectrum(levels).size == n * (n - 1) // 2
 
+    def test_matches_pair_loop_bitwise(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            levels = EnergyLevels(rng.uniform(-10.0, 10.0, rng.integers(2, 30)))
+            hbar = float(rng.choice([1.0, 0.3, 7.0]))
+            e = levels.values
+            want = np.sort([(e[j] - e[k]) / hbar for j in range(e.size) for k in range(j)])
+            assert np.array_equal(difference_spectrum(levels, hbar).view(np.int64),
+                                  want.view(np.int64))
+
     def test_too_few(self):
         with pytest.raises(DomainError, match="too_few"):
             difference_spectrum(EnergyLevels([1.0]))
@@ -63,6 +74,15 @@ class TestRydberg:
         from_levels = difference_spectrum(levels, hbar)
         from_formula = np.sort([w for _, _, w in rydberg_lines(k_max, r_h)])
         assert np.allclose(from_levels, from_formula, rtol=1e-12)
+
+    @pytest.mark.parametrize("r_h", [RYDBERG_CONSTANT, 1.0, 3.3])
+    def test_matches_pair_loop(self, r_h):
+        for k_max in (2, 3, 17, 60):
+            want = [(k, l, r_h * (1.0 / k**2 - 1.0 / l**2))
+                    for k in range(1, k_max) for l in range(k + 1, k_max + 1)]
+            got = rydberg_lines(k_max, r_h)
+            assert got == want
+            assert all(type(x) is type(y) for g, w in zip(got, want) for x, y in zip(g, w))
 
     def test_kmax_validation(self):
         with pytest.raises(DomainError, match="too_few"):
@@ -128,6 +148,13 @@ class TestAssign:
             assign_lines(SpectrumDataset(np.ones(1681)), levels)
         with pytest.raises(AssertionError, match="term array"):
             assign_lines(SpectrumDataset(np.ones(1680)), levels)
+        # two levels have one pair, so only MAX_ASSIGN_LINES applies
+        levels = EnergyLevels([0.0, 1.0])
+        assert MAX_ASSIGN_LINES < MAX_ASSIGN_TERMS
+        with pytest.raises(DomainError, match="size_cap"):
+            assign_lines(SpectrumDataset(np.ones(MAX_ASSIGN_LINES + 1)), levels)
+        with pytest.raises(AssertionError, match="term array"):
+            assign_lines(SpectrumDataset(np.ones(MAX_ASSIGN_LINES)), levels)
 
     def test_single_line(self):
         sol = assign_lines(SpectrumDataset([1.0]), EnergyLevels([0.0, 1.0]))
@@ -328,3 +355,139 @@ class TestAssignmentAgainstReference:
         tree = ast.parse(inspect.getsource(spectra._best_assignment))
         loops = (ast.For, ast.While, ast.comprehension)
         assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracle: the union-find and per-line refit that one frontier pass
+# and one scattered design matrix replaced.
+
+
+def reference_refit_levels(e_prev: np.ndarray, upper, lower, data: SpectrumDataset, hbar: float):
+    """Weighted least squares over levels with the gauge E_1 = 0.
+
+    Levels in connected components not tied to the gauge level keep their
+    previous values; the returned flag reports that case.
+    """
+    n = e_prev.size
+    # connected components of the transition graph
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for j, k in zip(upper, lower):
+        a, b = find(j - 1), find(k - 1)
+        if a != b:
+            parent[a] = b
+    anchored = {i for i in range(n) if find(i) == find(0)}
+    free = sorted(anchored - {0})
+    flags = ()
+    if len(anchored) < n:
+        flags = ("unidentifiable_levels",)
+    if not free:
+        return e_prev.copy(), flags
+    col = {level: idx for idx, level in enumerate(free)}
+    rows = []
+    rhs = []
+    for l, (j, k) in enumerate(zip(upper, lower)):
+        ju, kl = j - 1, k - 1
+        if ju not in anchored:  # whole line lives in a frozen component
+            continue
+        scale = np.sqrt(data.weights[l]) / (hbar * data.omegas[l])
+        row = np.zeros(len(free))
+        if ju != 0:
+            row[col[ju]] += scale
+        if kl != 0:
+            row[col[kl]] -= scale
+        rows.append(row)
+        rhs.append(np.sqrt(data.weights[l]))
+    a = np.vstack(rows)
+    b = np.array(rhs)
+    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    if rank < len(free):
+        # rank-deficient inside the anchored component: keep previous values
+        return e_prev.copy(), flags + ("unidentifiable_levels",)
+    e_new = e_prev.copy()
+    for level, idx in col.items():
+        e_new[level] = sol[idx]
+    e_new[0] = 0.0
+    return e_new, flags
+
+
+def same_refit(got, want):
+    """Levels equal bit for bit (so -0.0 differs from 0.0) and flags equal."""
+    return got[0].dtype == want[0].dtype and \
+        np.array_equal(got[0].view(np.int64), want[0].view(np.int64)) and got[1] == want[1]
+
+
+def random_refit_case(rng):
+    """Gauge-fixed levels and lines whose endpoints lie in a random subset of levels."""
+    n = int(rng.integers(2, 14))
+    subset = np.arange(n) if rng.random() < 0.5 else \
+        rng.choice(n, int(rng.integers(2, n + 1)), replace=False)
+    lines = int(rng.integers(1, 30))
+    a, b = rng.choice(subset, lines), rng.choice(subset, lines)
+    b = np.where(a == b, (a + 1) % n, b)  # a line joins two distinct levels
+    e = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, n - 1))])
+    data = SpectrumDataset(rng.uniform(0.1, 5.0, lines), rng.uniform(0.5, 1.5, lines))
+    return e, np.maximum(a, b) + 1, np.minimum(a, b) + 1, data
+
+
+class TestRefitAgainstReference:
+    def test_seeded_cases_bitwise(self):
+        rng = np.random.default_rng(3100)
+        seen = set()
+        for _ in range(3000):
+            e, upper, lower, data = random_refit_case(rng)
+            hbar = float(rng.choice([1.0, 0.3, 2.5]))
+            want = reference_refit_levels(e, upper, lower, data, hbar)
+            assert same_refit(_refit_levels(e, upper, lower, data, hbar), want)
+            touched = np.zeros(e.size, bool)
+            touched[np.concatenate([upper, lower]) - 1] = True
+            seen.add(want[1])
+            seen.add("isolated level" if not touched.all() else "every level on a line")
+            seen.add("single line" if upper.size == 1 else "several lines")
+        assert seen == {(), ("unidentifiable_levels",), "isolated level",
+                        "every level on a line", "single line", "several lines"}
+
+    def test_cap_case_bitwise(self):
+        # 120 levels and 1680 lines, the corner of MAX_ASSIGN_TERMS
+        rng = np.random.default_rng(3101)
+        e = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, 119))])
+        data = SpectrumDataset(rng.uniform(0.5, 100.0, 1680), rng.uniform(0.5, 1.5, 1680))
+        upper, lower = _best_assignment(e, data, 1.0)
+        want = reference_refit_levels(e, upper, lower, data, 1.0)
+        assert same_refit(_refit_levels(e, upper, lower, data, 1.0), want)
+
+    def test_only_loop_is_the_frontier_pass(self):
+        import ast
+        import inspect
+
+        nodes = list(ast.walk(ast.parse(inspect.getsource(_refit_levels))))
+        kinds = [type(node) for node in nodes]
+        assert kinds.count(ast.While) == 1
+        assert kinds.count(ast.FunctionDef) == 1  # no nested helper such as find()
+        assert not {ast.For, ast.comprehension, ast.Dict, ast.Set, ast.DictComp,
+                    ast.SetComp} & set(kinds)
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        assert not names & {"dict", "set", "zip", "enumerate", "range"}
+
+    def test_memory_per_line(self):
+        # deterministic allocation count, not a timing gate: 3 levels, 200,000 lines
+        import tracemalloc
+
+        rng = np.random.default_rng(3102)
+        lines = 200_000
+        e = np.array([0.0, 1.0, 2.5])
+        data = SpectrumDataset(rng.uniform(0.5, 3.0, lines), rng.uniform(0.5, 1.5, lines))
+        upper, lower = _best_assignment(e, data, 1.0)
+        tracemalloc.start()
+        try:
+            _refit_levels(e, upper, lower, data, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / lines <= 128

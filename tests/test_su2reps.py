@@ -46,6 +46,17 @@ class TestBuildIrrep:
         assert np.allclose(diag, [math.sqrt(2), math.sqrt(2)], atol=1e-15)
         assert np.allclose(diag, [ladder_entry_by_hand(1, 0), ladder_entry_by_hand(1, -1)])
 
+    def test_ladder_matches_entry_loop_bitwise(self):
+        for twoj in (1, 2, 7, 40, 899):
+            jj = twoj / 2.0
+            want = np.zeros((twoj + 1, twoj + 1), dtype=complex)
+            for i in range(1, twoj + 1):
+                m = jj - i
+                want[i - 1, i] = math.sqrt(jj * (jj + 1) - m * (m + 1))
+            got = build_irrep(Fraction(twoj, 2)).lplus
+            assert got.dtype == want.dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_commutation_relations(self):
         for j in (HALF, 1, Fraction(3, 2), 3, 5):
             rep = build_irrep(j)
@@ -244,6 +255,7 @@ class TestRestriction:
         blocks = decompose_restriction(diag)
         assert sum(blocks) == 9
         assert blocks == [5, 3, 1]
+        assert all(type(size) is int for size in blocks)
 
     def test_rejects_non_closing_set(self):
         bad = [np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]) ]

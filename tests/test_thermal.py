@@ -1,6 +1,7 @@
 """Gibbs states, generating functional, Kubo product, black-body numbers."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,15 @@ class TestGeneratingFunctional:
     def test_zero_matrix(self):
         assert abs(generating_functional(np.zeros((5, 5))) + math.log(5)) <= 1e-12
 
+    def test_single_zero_level_is_positive_zero(self):
+        assert math.copysign(1.0, generating_functional([[0.0]])) == 1.0
+
+    def test_is_minus_log_z_of_the_unit_beta_state(self):
+        rng = np.random.default_rng(73)
+        f = random_hermitian(rng, 5)
+        assert generating_functional(f) == -GibbsState(f, 1.0).log_z
+        assert abs(GibbsState(f, 1.0).log_z - math.log(partition_function(f, 1.0))) <= 1e-12
+
     def test_constant_shift(self):
         rng = np.random.default_rng(74)
         f = random_hermitian(rng, 4)
@@ -207,6 +217,16 @@ class TestKubo:
             smoothed = sum(w * (expm(-s * f) @ h @ expm(s * f)) for s, w in zip(xs, ws))
             want = GibbsState(f, 1.0).value(g @ smoothed)
             assert abs(kubo_inner(f, g, h) - want) <= 1e-9
+
+    @pytest.mark.parametrize("spread, want", [(800.0, 2 * -math.expm1(-800.0) / 800.0),
+                                              (1e6, 2e-6)])
+    def test_eigenvalue_spread_past_exp_range(self, spread, want):
+        # p_1 underflows to 0 while phi(spread) overflows; the kernel must not form 0 * inf
+        sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kubo_inner(np.diag([0.0, spread]), sx, sx)
+        assert abs(got - want) <= 1e-15 * want
 
     def test_degenerate_kernel_stability(self):
         # equal eigenvalues hit the phi(x) ~ 1 + x/2 series branch
