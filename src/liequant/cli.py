@@ -21,14 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
-
-# Cap on cover-check --samples, blackbody --points and rigidbody --steps;
-# 10000 cover-check samples take about 4 s on a 2-core VM.
-MAX_SAMPLES = 100_000
-# Largest gibbs Hamiltonian order (levels, or rows of the --in matrix); the
-# dense order-600 solve takes about 1 s and 80 MB with one BLAS thread on a 2-core VM.
-MAX_ORDER = 600
+from .errors import MAX_ORDER, MAX_SAMPLES, DomainError, check_cap
 
 
 def _jdump(obj) -> str:
@@ -90,7 +83,7 @@ def _json_array(path: str, key: str, max_rows=math.inf) -> np.ndarray:
                 return np.array(value, dtype=float)
         except (ValueError, KeyError, TypeError) as err:
             raise DomainError("bad_input", f"{path}: no numeric field {key!r}") from err
-    raise DomainError("size_cap", f"{path}: {key!r} must have at most {max_rows} rows")
+    check_cap(len(value), max_rows, f"{path}: rows of {key!r}")  # reached only past the cap
 
 
 def _matrix_arg(args) -> np.ndarray:
@@ -117,8 +110,7 @@ def _seed(args) -> int:
 def _check_count(count: int, what: str) -> None:
     if count < 0:
         raise DomainError("bad_argument", f"{what} must be non-negative")
-    if count > MAX_SAMPLES:
-        raise DomainError("size_cap", f"{what} must be at most {MAX_SAMPLES}")
+    check_cap(count, MAX_SAMPLES, what)
 
 
 def _constants(args):
@@ -203,8 +195,7 @@ def _cmd_algebra_verify(args) -> str:
 
 def _cmd_rigidbody(args) -> str:
     from .poisson import RigidBodyState, integrate_rigid_body, trajectory_csv
-    if args.steps > MAX_SAMPLES:  # a negative count is bad_steps, from the integrator
-        raise DomainError("size_cap", f"--steps must be at most {MAX_SAMPLES}")
+    check_cap(args.steps, MAX_SAMPLES, "--steps")  # a negative count is the integrator's bad_steps
     state = RigidBodyState(tuple(args.j0), tuple(args.inertia))
     return trajectory_csv(integrate_rigid_body(state, args.dt, args.steps))
 
@@ -276,8 +267,7 @@ def _cmd_cg(args) -> str:
 def _cmd_gibbs(args) -> str:
     from . import thermal
     if args.levels:
-        if len(args.levels) > MAX_ORDER:  # before the dense diagonal matrix
-            raise DomainError("size_cap", f"--levels takes at most {MAX_ORDER} numbers")
+        check_cap(len(args.levels), MAX_ORDER, "--levels")  # before the dense diagonal matrix
         h = np.diag(args.levels)
     elif args.infile:
         h = _json_array(args.infile, "matrix", MAX_ORDER)

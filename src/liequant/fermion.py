@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_MODES, DomainError, check_cap, check_positive
 
 __all__ = [
     "epsilon",
@@ -24,8 +24,6 @@ __all__ = [
     "car_residual",
     "number_spectrum",
 ]
-
-MAX_MODES = 12  # 2^n basis states; a dense view is 2^n x 2^n per mode
 
 
 def epsilon(j: int, subset) -> int:
@@ -85,10 +83,10 @@ def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:
     different scale multiplies the creation operators, turning the mixed
     anticommutator into {a_j, a*_k} = hbar delta_jk.
     """
-    if not 1 <= n_modes <= MAX_MODES:
-        raise DomainError("size_cap", f"n_modes must be in 1..{MAX_MODES}")
-    if not 0 < hbar < np.inf:  # also rejects NaN
-        raise DomainError("bad_hbar", "hbar must be positive and finite")
+    if n_modes < 1:
+        raise DomainError("size_cap", "n_modes must be at least 1")
+    check_cap(n_modes, MAX_MODES, "n_modes")
+    check_positive(hbar, "bad_hbar", "hbar")
     occ = np.arange(2**n_modes) >> np.arange(n_modes)[:, None] & 1
     below = np.cumsum(occ, axis=0) - occ  # occupied modes below j
     signs = (occ * (1 - 2 * (below & 1))).astype(np.int8)

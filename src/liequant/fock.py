@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_LEVELS, DomainError, check_cap, check_finite, check_positive, finite
 from .matrixcore import kron_embed
 
 __all__ = [
@@ -40,14 +40,11 @@ __all__ = [
 # hbar = h / (2 pi) with h ~ 6.626e-34 J s
 HBAR_SI = 1.0545718e-34
 
-MAX_LEVELS = 2048  # levels of one space or tensor product; a dense complex view is 64 MB at the cap
-
 
 def _check_levels(dim: int, least: int, token: str, what: str) -> None:
     if dim < least:
         raise DomainError(token, f"{what} must be at least {least}")
-    if dim > MAX_LEVELS:
-        raise DomainError("size_cap", f"{what} must be at most {MAX_LEVELS}")
+    check_cap(dim, MAX_LEVELS, what)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -87,12 +84,8 @@ class BosonFock:
                 head.append(self.hbar**k / math.factorial(k))
             except OverflowError:
                 break
-        with np.errstate(over="ignore"):
-            steps = np.concatenate(([head[-1]], self.hbar / np.arange(len(head), self.dim)))
-            weights = np.concatenate((head, np.cumprod(steps)[1:]))
-        if not np.isfinite(weights).all():
-            raise DomainError("not_finite", f"a weight hbar^k/k! overflows below level {self.dim}")
-        return _frozen(weights)
+        steps = np.concatenate(([head[-1]], self.hbar / np.arange(len(head), self.dim)))
+        return _frozen(finite(lambda: np.concatenate((head, np.cumprod(steps)[1:])), "a weight"))
 
     def inner(self, phi, psi) -> complex:
         """Weighted inner product sum_k (hbar^k/k!) conj(phi_k) psi_k."""
@@ -107,11 +100,8 @@ class BosonFock:
         op[j, k] sqrt(w_j / w_k); weights that underflow to 0 raise ``not_finite``.
         """
         s = np.sqrt(self.metric)
-        with np.errstate(all="ignore"):
-            view = (op * (s[:, np.newaxis] / s[np.newaxis, :])).astype(complex)
-        if not np.isfinite(view).all():
-            raise DomainError("not_finite", "level weights out of range for the orthonormal view")
-        return view
+        return finite(lambda: (op * (s[:, np.newaxis] / s[np.newaxis, :])).astype(complex),
+                      "the orthonormal view")
 
     def expectation(self, op, psi) -> complex:
         psi = np.asarray(psi, dtype=complex)
@@ -121,8 +111,7 @@ class BosonFock:
 def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
     """Truncated level space; the ladder matrices are built on first access."""
     _check_levels(dim, 2, "too_small", "dim")
-    if not 0 < hbar < math.inf:  # also rejects NaN
-        raise DomainError("bad_hbar", "hbar must be positive and finite")
+    check_positive(hbar, "bad_hbar", "hbar")
     return BosonFock(dim, float(hbar))
 
 
@@ -138,8 +127,7 @@ def tensor_modes(focks) -> list:
     if not 1 <= len(focks) <= 3:
         raise DomainError("mode_cap", "tensor products support 1..3 modes")
     dims = [f.dim for f in focks]
-    if math.prod(dims) > MAX_LEVELS:
-        raise DomainError("size_cap", f"the product of dims must be at most {MAX_LEVELS}")
+    check_cap(math.prod(dims), MAX_LEVELS, "the product of dims")
     return [(kron_embed(f.a, i, dims), kron_embed(f.a_dag, i, dims)) for i, f in enumerate(focks)]
 
 
@@ -154,11 +142,7 @@ def oscillator_spectrum(f: BosonFock, omega: float, count: int) -> np.ndarray:
         raise DomainError("bad_argument", "count must be non-negative")
     if count > f.dim - 1:
         raise DomainError("truncation", f"only {f.dim - 1} levels are trustworthy")
-    with np.errstate(over="ignore", invalid="ignore"):
-        levels = np.sort(omega * (f.hbar * np.arange(f.dim - 1)))
-    if not np.isfinite(levels).all():
-        raise DomainError("not_finite", "omega hbar k must be finite")
-    return levels[:count]
+    return finite(lambda: np.sort(omega * (f.hbar * np.arange(f.dim - 1))), "omega hbar k")[:count]
 
 
 @dataclass(frozen=True)
@@ -178,11 +162,7 @@ class CoherentState:
     def coeffs(self) -> np.ndarray:
         lam_bar = np.conj(complex(self.lam))
         z_bar = np.conj(complex(self.z))
-        with np.errstate(all="ignore"):
-            coeffs = lam_bar * z_bar ** np.arange(self.dim)
-        if not np.isfinite(coeffs).all():
-            raise DomainError("not_finite", "a coefficient lam z^k overflows")
-        return coeffs
+        return finite(lambda: lam_bar * z_bar ** np.arange(self.dim), "a coefficient lam z^k")
 
 
 def _check_truncation(dim: int, hbar: float, z1: complex, z2: complex):
@@ -207,17 +187,12 @@ def coherent_inner(s1: CoherentState, s2: CoherentState, hbar: float = 1.0) -> c
         raise DomainError("shape", "coherent states of different truncation")
     _check_truncation(s1.dim, hbar, complex(s1.z), complex(s2.z))
     f = build_fock(s1.dim, hbar)
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = f.inner(s1.coeffs, s2.coeffs)
-    if not cmath.isfinite(value):
-        raise DomainError("not_finite", "the overlap overflows")
-    return value
+    return finite(lambda: f.inner(s1.coeffs, s2.coeffs), "the overlap")
 
 
 def evolve_coherent(s: CoherentState, omega: float, t: float) -> CoherentState:
     """Harmonic evolution moves |lam, z> to |lam, z e^{-i omega t}>."""
-    if not math.isfinite(omega * t):
-        raise DomainError("not_finite", "omega t must be finite")
+    check_finite(omega * t, "omega t")
     return CoherentState(s.lam, s.z * np.exp(-1j * omega * t), s.dim)
 
 
@@ -235,8 +210,7 @@ class HWData:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not 0 < self.hbar < math.inf:  # also rejects NaN
-            raise DomainError("bad_hbar", "hbar must be positive and finite")
+        check_positive(self.hbar, "bad_hbar", "hbar")
         if not all(math.isfinite(x) for x in (self.u, self.v, self.alpha)):
             raise DomainError("bad_argument", "u, v and alpha must be finite")
 
@@ -280,8 +254,7 @@ def build_highest_weight(d: HWData, max_levels: int):
         dim = int(stops[0]) + 1 if stops.size else max_levels
         raising = d.hbar * j[:dim - 1]
         weights = d.hbar * (np.arange(dim) + d.alpha + 0.5)
-    if not np.isfinite(np.concatenate((c[:dim], scale[:dim], raising, weights))).all():
-        raise DomainError("not_finite", "ladder coefficients leave the float range")
+    check_finite(np.concatenate((c[:dim], scale[:dim], raising, weights)), "a ladder coefficient")
     if stops.size and not zero[dim - 1]:
         raise DomainError("no_unitary_rep", f"norm turns negative at level {dim}")
     verdict = FiniteVerdict(dim) if stops.size else InfiniteVerdict(max_levels)

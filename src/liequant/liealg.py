@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DIM_CAP, DomainError, check_cap, check_finite, check_positive
 from .matrixcore import DEFAULT_TOL, Tolerance, as_square, commutator, expm
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "is_semisimple",
     "weyl_check",
 ]
-
-DIM_CAP = 64  # dense c is dim^3 and the bracket tensor dim^2 n^2 entries
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,8 @@ class LieAlgebraBasis:
             raise DomainError("shape", "structure tensor must be dim^3 with dim >= 1")
         if c.shape[0] != len(self.names):
             raise DomainError("shape", "generator names do not match tensor dim")
-        if c.shape[0] > DIM_CAP:
-            raise DomainError("dim_cap", f"dimension {c.shape[0]} exceeds cap {DIM_CAP}")
-        if not np.all(np.isfinite(c)):
-            raise DomainError("not_finite", "structure constants contain NaN/Inf entries")
-        object.__setattr__(self, "c", c)
+        check_cap(c.shape[0], DIM_CAP, "the dimension", "dim_cap")
+        object.__setattr__(self, "c", check_finite(c, "a structure constant"))
 
     @property
     def dim(self) -> int:
@@ -104,8 +99,7 @@ class MatrixRealization:
     def __post_init__(self):
         if self.product_convention not in ("commutator", "quantum"):
             raise DomainError("bad_convention", self.product_convention)
-        if self.hbar <= 0:
-            raise DomainError("bad_hbar", "hbar must be positive")
+        check_positive(self.hbar, "bad_hbar", "hbar")
         mats = tuple(as_square(m) for m in self.mats)
         if len(mats) != self.basis.dim or len({m.shape for m in mats}) > 1:
             raise DomainError("shape", "one square matrix per generator, all of one size")
@@ -317,8 +311,7 @@ def _family_basis(key: str):
         dim, build = n * (n + 1) // 2, lambda: _sp_basis(n // 2)
     else:
         raise DomainError("unknown_algebra", key)
-    if dim > DIM_CAP:  # checked before any matrix is built
-        raise DomainError("dim_cap", f"dimension {dim} exceeds cap {DIM_CAP}")
+    check_cap(dim, DIM_CAP, "the dimension", "dim_cap")  # before any matrix is built
     return build()
 
 

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, finite
 
 __all__ = [
     "Tolerance",
@@ -60,9 +60,7 @@ def as_square(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError("shape", f"{name} must be square, got shape {m.shape}")
-    if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
-        raise DomainError("not_finite", f"{name} contains NaN/Inf entries")
-    return m
+    return check_finite(m, f"an entry of {name}")
 
 
 def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
@@ -101,11 +99,12 @@ def expm(a) -> np.ndarray:
     The argument is halved until its Frobenius norm is at most 0.5, the
     series sum_k a^k/k! is summed to machine precision, and the result is
     squared back up.  Relative accuracy is better than 1e-12 for
-    ``norm(a) <= 20``.
+    ``norm(a) <= 20``.  A norm or a result past the float range raises
+    ``not_finite``.
     """
     a = as_square(a)
     n = a.shape[0]
-    norm = np.linalg.norm(a)
+    norm = finite(lambda: np.linalg.norm(a), "the Frobenius norm")
     if norm == 0.0:
         return np.eye(n, dtype=complex)
     squarings = max(0, int(np.ceil(np.log2(norm / 0.5))))
@@ -117,9 +116,8 @@ def expm(a) -> np.ndarray:
         result = result + term
         if np.linalg.norm(term) <= 1e-18 * np.linalg.norm(result):
             break
-    for _ in range(squarings):
-        result = result @ result
-    return result
+    # 2**squarings as repeated squaring, result @ result each time
+    return finite(lambda: np.linalg.matrix_power(result, 2**squarings), "the exponential")
 
 
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -184,9 +182,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
         raise DomainError("not_hermitian", "eig_hermitian requires a Hermitian matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the norm inf
         h = 0.5 * (a + a.conj().T)  # exact Hermitian part kills roundoff asymmetry
-        norm = np.linalg.norm(h)
-    if not np.isfinite(norm):
-        raise DomainError("not_finite", "the Frobenius norm leaves the float range")
+        norm = check_finite(np.linalg.norm(h), "the Frobenius norm")
     w, v = np.linalg.eigh(h)
     residual = float(np.linalg.norm(h @ v - v * w))
     defect = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))

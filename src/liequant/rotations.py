@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, finite
 
 __all__ = [
     "Rotation",
@@ -38,9 +38,7 @@ class Rotation:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise DomainError("shape", "rotation must be 3x3")
-        largest = np.abs(m).max()
-        if not np.isfinite(largest):
-            raise DomainError("not_finite", "rotation contains NaN/Inf entries")
+        largest = check_finite(np.abs(m).max(), "a rotation entry")
         # a rotation has no entry above 1, and the bound keeps m^T m in the float range
         if largest > 2.0 or np.abs(m.T @ m - _EYE3).max() > 1e-9 \
                 or not abs(np.linalg.det(m) - 1.0) <= 1e-9:
@@ -53,11 +51,7 @@ class Rotation:
         return Rotation(self.m @ other.m)
 
     def apply(self, v) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            image = self.m @ np.asarray(v, dtype=float)
-        if not np.isfinite(image).all():
-            raise DomainError("not_finite", "the image leaves the float range")
-        return image
+        return finite(lambda: self.m @ np.asarray(v, dtype=float), "the image")
 
 
 @dataclass(frozen=True)
@@ -110,8 +104,7 @@ def vee(m) -> np.ndarray:
 
 def elementary(axis: str, angle: float) -> Rotation:
     """Elementary rotation about the x, y or z axis."""
-    if not np.isfinite(angle):
-        raise DomainError("not_finite", "angle must be finite")
+    check_finite(angle, "the angle")
     c, s = np.cos(angle), np.sin(angle)
     if axis == "x":
         m = [[1, 0, 0], [0, c, -s], [0, s, c]]

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import (MAX_ASSIGN_LINES, MAX_ASSIGN_TERMS, MAX_KMAX, DomainError, check_cap,
+                     check_positive, finite)
 
 __all__ = [
     "EnergyLevels",
@@ -32,14 +33,6 @@ __all__ = [
 ]
 
 RYDBERG_CONSTANT = 1.1e7  # 1/m
-# k_max (k_max - 1)/2 lines; rydberg --kmax 1000 takes about 1.3 s and 136 MB on a 2-core VM
-MAX_KMAX = 1000
-# lines x level pairs in the assignment term array (about 9 B each); 120 levels
-# and 1680 lines (11,995,200 terms) take about 1 s and 143 MB on a 2-core VM
-MAX_ASSIGN_TERMS = 12_000_000
-# lines alone, for the few-level corner of that cap: 3 levels and 500,000 lines
-# take about 0.9 s and 112 MB with max_iters=5 on a 2-core VM
-MAX_ASSIGN_LINES = 500_000
 
 
 @dataclass(frozen=True)
@@ -53,9 +46,8 @@ class EnergyLevels:
         vals = np.sort(np.asarray(values, dtype=float))
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("shape", "need a nonempty 1-d level list")
-        if not np.all(np.isfinite(vals)):
-            raise DomainError("not_finite", "levels must be finite")
-        span = float(vals[-1] - vals[0])
+        # sorted, so a NaN (last) or an infinite end makes the span non-finite too
+        span = float(finite(lambda: vals[-1] - vals[0], "the level span"))
         merged = [vals[0]]
         for v in vals[1:]:
             if v - merged[-1] > 1e-12 * max(span, 1e-300):
@@ -115,8 +107,7 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
     """
     if k_max < 2:
         raise DomainError("too_few", "k_max must be at least 2")
-    if k_max > MAX_KMAX:
-        raise DomainError("size_cap", f"k_max must be at most {MAX_KMAX}")
+    check_cap(k_max, MAX_KMAX, "k_max")
     if not np.isfinite(r_h):
         raise DomainError("bad_argument", "r_h must be finite")
     k, l = np.triu_indices(k_max, 1)
@@ -197,19 +188,19 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
     Stops when the assignment repeats or after ``max_iters`` rounds,
     whichever comes first; the solution records which criterion fired.
     More than ``MAX_ASSIGN_LINES`` lines, or ``MAX_ASSIGN_TERMS`` lines x
-    level pairs, raise ``size_cap``.
+    level pairs, raise ``size_cap``; a line whose hbar w, 1/(hbar w) or
+    refit row scale sqrt(q)/(hbar w) leaves the float range raises ``not_finite``.
     """
     if len(initial) < 2:
         raise DomainError("too_few", "need at least two trial levels")
     if max_iters < 1:
         raise DomainError("bad_iters", "max_iters must be at least 1")
-    if not 0 < hbar < np.inf:  # also rejects NaN
-        raise DomainError("bad_hbar", "hbar must be positive and finite")
+    check_positive(hbar, "bad_hbar", "hbar")
     n = len(initial)
-    if len(data) > MAX_ASSIGN_LINES:  # before any term array
-        raise DomainError("size_cap", f"lines must be at most {MAX_ASSIGN_LINES}")
-    if len(data) * (n * (n - 1) // 2) > MAX_ASSIGN_TERMS:
-        raise DomainError("size_cap", f"lines x level pairs must be at most {MAX_ASSIGN_TERMS}")
+    check_cap(len(data), MAX_ASSIGN_LINES, "lines")  # before any term array
+    check_cap(len(data) * (n * (n - 1) // 2), MAX_ASSIGN_TERMS, "lines x level pairs")
+    x = finite(lambda: hbar * data.omegas, "hbar w")
+    finite(lambda: np.concatenate((1.0 / x, np.sqrt(data.weights) / x)), "a row scale")
     e = initial.values - initial.values[0]  # adopt the gauge up front
     flags: tuple = ()
     upper = lower = None

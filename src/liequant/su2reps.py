@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import MAX_DIM, DomainError, check_cap
 from .liealg import _bracket_coords
 from .matrixcore import as_square, eig_hermitian, kron_embed
 
@@ -29,17 +29,6 @@ __all__ = [
     "spinor_metric",
     "decompose_restriction",
 ]
-
-
-# Largest dense dimension built here: 2j+1 for an irrep, (2k+1)(2l+1) for
-# a coupling.  cg at dimension 841 to 900 takes about 1 s and 90 MB on a
-# 2-core VM.
-MAX_DIM = 900
-
-
-def _check_dim(dim: int, what: str) -> None:
-    if dim > MAX_DIM:
-        raise DomainError("size_cap", f"{what} must be at most {MAX_DIM}")
 
 
 def _twice(j) -> int:
@@ -80,7 +69,7 @@ def build_irrep(j) -> IrrepDj:
     """Spin-j matrices with t3 = diag(j, j-1, ..., -j) and L- = (L+)*."""
     twoj = _twice(j)
     dim = twoj + 1
-    _check_dim(dim, "2j+1")
+    check_cap(dim, MAX_DIM, "2j+1")
     jj = twoj / 2.0
     t3 = np.diag([jj - i for i in range(dim)]).astype(complex)
     m = jj - np.arange(1, dim)  # raising from row i (eigenvalue m) to row i-1
@@ -119,7 +108,7 @@ def clebsch_gordan(k, l):
     deterministic.
     """
     twok, twol = _twice(k), _twice(l)
-    _check_dim((twok + 1) * (twol + 1), "(2k+1)(2l+1)")
+    check_cap((twok + 1) * (twol + 1), MAX_DIM, "(2k+1)(2l+1)")
     rk, rl = build_irrep(Fraction(twok, 2)), build_irrep(Fraction(twol, 2))
     dims = (rk.dim, rl.dim)
     lp = kron_embed(rk.lplus, 0, dims) + kron_embed(rl.lplus, 1, dims)

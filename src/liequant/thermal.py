@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_finite, check_positive
 from .matrixcore import DEFAULT_TOL, as_square, eig_hermitian, is_hermitian
 
 __all__ = [
@@ -70,8 +70,7 @@ def _boltzmann_weights(w: np.ndarray, beta: float) -> np.ndarray:
 
 def partition_function(h, beta: float) -> float:
     """Z = tr e^{-beta H} = sum_n e^{-beta E_n}, min-shifted for stability."""
-    if not 0 < beta < math.inf:  # also rejects NaN
-        raise DomainError("bad_beta", "beta must be positive and finite")
+    check_positive(beta, "bad_beta", "beta")
     w, _ = eig_hermitian(h)
     weights = _boltzmann_weights(w, beta)
     # deep tails merely underflow; only e^{-beta E_min} can overflow
@@ -84,8 +83,7 @@ class GibbsState:
     """Canonical state <g> = tr(e^{-beta H} g)/Z for Hermitian H."""
 
     def __init__(self, h, beta: float):
-        if not 0 < beta < math.inf:  # also rejects NaN
-            raise DomainError("bad_beta", "beta must be positive and finite")
+        check_positive(beta, "bad_beta", "beta")
         self.h = as_square(h, "H")
         self.beta = float(beta)
         self._w, self._v = eig_hermitian(self.h)
@@ -120,8 +118,7 @@ def entropy_value(state: GibbsState, kbar: float = 1.0) -> float:
 def schottky_capacity(e_gap: float, temperature: float,
                       consts: PhysicalConstants = NATURAL_CONSTANTS) -> float:
     """Two-level heat capacity C = (E^2/kbar T^2) e^x / (e^x+1)^2, x = E/kbar T."""
-    if temperature <= 0:
-        raise DomainError("bad_temperature", "T must be positive")
+    check_positive(temperature, "bad_temperature", "T")
     x = e_gap / (consts.kbar * temperature)
     # e^x/(e^x+1)^2 = (2 cosh(x/2))^{-2}, computed via decaying exponentials
     t = math.exp(-abs(x) / 2.0)
@@ -204,9 +201,7 @@ def planck_density(omega: float, temperature: float, volume: float,
         value = (volume * consts.hbar / (math.pi**2 * consts.c**3)) * omega**3 / math.expm1(x)
     except (OverflowError, ZeroDivisionError):  # a power or a quotient past the float range
         value = math.inf
-    if not math.isfinite(value):
-        raise DomainError("not_finite", "the spectral density leaves the float range")
-    return value
+    return check_finite(value, "the spectral density")
 
 
 def wien_displacement_x() -> float:
@@ -227,9 +222,7 @@ def stefan_constant(consts: PhysicalConstants = SI_CONSTANTS) -> float:
         sigma = math.pi**2 * consts.kbar**4 / (60.0 * consts.hbar**3 * consts.c**2)
     except (OverflowError, ZeroDivisionError):  # a power or a quotient past the float range
         sigma = math.inf
-    if not math.isfinite(sigma):
-        raise DomainError("not_finite", "the radiation constant leaves the float range")
-    return sigma
+    return check_finite(sigma, "the radiation constant")
 
 
 def entropy_of_mixing(fractions, n_moles: float,
@@ -244,6 +237,6 @@ def entropy_of_mixing(fractions, n_moles: float,
 def ideal_gas_pressure(temperature: float, volume: float,
                        consts: PhysicalConstants = SI_CONSTANTS) -> float:
     """One-mole ideal gas law P = R T / V with R = kbar * Avogadro."""
-    if temperature <= 0 or volume <= 0:
-        raise DomainError("bad_argument", "T and V must be positive")
+    check_positive(temperature, "bad_argument", "T")
+    check_positive(volume, "bad_argument", "V")
     return consts.kbar * AVOGADRO * temperature / volume

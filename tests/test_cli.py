@@ -17,7 +17,9 @@ import pytest
 
 import liequant
 from liequant.cli import MAX_ORDER, MAX_SAMPLES, main
+from liequant.fermion import MAX_MODES
 from liequant.fock import MAX_LEVELS
+from liequant.liealg import DIM_CAP
 from liequant.spectra import MAX_ASSIGN_LINES, MAX_KMAX
 from liequant.su2reps import MAX_DIM
 
@@ -346,6 +348,19 @@ class TestBadInput:
         ({"d.csv": "omega,weight\n" + "1.0,1.0\n" * (MAX_ASSIGN_LINES + 1),
           "l.json": '{"levels": [0, 1]}'},
          ("assign", "--data", "d.csv", "--levels", "l.json"), "size_cap"),
+        # 1/(hbar w), the row scale sqrt(q)/(hbar w), or hbar w past the float range:
+        # the first two ended in a LinAlgError traceback, the others printed warnings
+        ({"d.csv": "omega,weight\n1e-320,1\n", "l.json": '{"levels": [0, 1, 3]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
+        ({"d.csv": "omega,weight\n1e-200,1e300\n", "l.json": '{"levels": [0, 1, 3]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
+        ({"d.csv": "omega,weight\n1e300,1\n", "l.json": '{"levels": [0, 1, 3]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json", "--hbar", "1e10"), "not_finite"),
+        ({"d.csv": "omega,weight\n1e-310,1e-300\n", "l.json": '{"levels": [0, 1, 3]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
+        # a level span past the float range: warned, merged the levels, then too_few
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1e308, -1e308]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -421,13 +436,19 @@ def test_fock_edge_cases_succeed(argv):
     assert check_contract(argv) == 0
 
 
-# The largest size under each cap finishes (one more is size_cap, in TestBadInput)
+# The largest size under each cap finishes (one more is size_cap, in TestBadInput).
+# cover-check --samples MAX_SAMPLES is left out: it takes about 16 s, where the
+# other MAX_SAMPLES rows below take about 1 s each.
 CAP_ARGVS = [
     ("rigidbody", "--inertia=1,2,3", "--j0=1,0.5,0.2", "--steps", str(MAX_SAMPLES)),
     ("rydberg", "--kmax", str(MAX_KMAX)),
     ("irrep", "--j", f"{MAX_DIM - 1}/2"),
     ("gibbs", "--levels=" + ",".join(map(str, range(MAX_ORDER))), "--beta", "1"),
     ("assign", "--data", "cap_lines.csv", "--levels", "cap_levels.json"),
+    ("fermion-check", "--modes", str(MAX_MODES)),
+    ("cg", "--k", f"{math.isqrt(MAX_DIM) - 1}/2", "--l", f"{math.isqrt(MAX_DIM) - 1}/2"),
+    ("blackbody", "--temperature", "300", "--points", str(MAX_SAMPLES)),
+    ("algebra-verify", "--name", f"gl({math.isqrt(DIM_CAP)})"),  # dimension n^2
 ]
 # the files named by the assign row: spectra.MAX_ASSIGN_LINES lines over two levels
 CAP_FILES = {"cap_lines.csv": "omega,weight\n" + "1.0,1.0\n" * MAX_ASSIGN_LINES,
@@ -588,7 +609,9 @@ def test_subcommand_loads_only_its_library_module(command):
 
 
 def test_package_imports_each_submodule_on_first_use():
-    assert loaded_modules("import liequant") == {"liequant", "liequant.errors"}
+    # only the package and its error module, and no numpy: the guards import it when they run
+    assert loaded_modules("import sys, liequant\nassert 'numpy' not in sys.modules") == \
+        {"liequant", "liequant.errors"}
     loaded = loaded_modules("import liequant\nassert liequant.su2reps.MAX_DIM == 900\n"
                             "from liequant import fock\nassert fock.MAX_LEVELS == 2048\n"
                             "assert not hasattr(liequant, 'no_such_module')")

@@ -208,6 +208,12 @@ class TestBuiltins:
         real = MatrixRealization(basis, mats, product_convention="quantum", hbar=hbar)
         assert real.consistency_residual() <= 1e-10
 
+    def test_nan_hbar_is_rejected(self):
+        # hbar <= 0 let NaN through, and consistency_residual() returned nan
+        basis, real = builtin_algebra("su2")
+        with pytest.raises(DomainError, match="bad_hbar"):
+            MatrixRealization(basis, real.mats, "quantum", hbar=float("nan"))
+
 
 class TestJacobi:
     def test_so3_exact(self):

@@ -110,6 +110,16 @@ class TestExpm:
             ref = ref @ ref
         assert np.linalg.norm(expm(a) - ref) / np.linalg.norm(ref) < 1e-12
 
+    def test_result_past_float_range_is_not_finite(self):
+        # e^1000 overflows; this returned inf after a RuntimeWarning
+        with pytest.raises(DomainError, match="not_finite"):
+            expm([[1000.0]])
+
+    def test_norm_past_float_range_is_not_finite(self):
+        # the norm is inf; this raised OverflowError from int(np.ceil(inf))
+        with pytest.raises(DomainError, match="not_finite"):
+            expm(np.diag([1e308, 0.0]))
+
 
 class TestPredicates:
     def test_identity_is_special_orthogonal(self):

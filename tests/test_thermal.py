@@ -156,6 +156,10 @@ class TestSchottky:
         t_star = 0.5 * (a + b)
         assert 0.3 < t_star < 0.5
 
+    def test_nan_temperature_is_rejected(self):
+        with pytest.raises(DomainError, match="bad_temperature"):
+            schottky_capacity(1.0, math.nan, NATURAL)
+
 
 class TestGeneratingFunctional:
     def test_zero_matrix(self):
@@ -410,3 +414,7 @@ class TestMixing:
     def test_ideal_gas_helper(self):
         p = ideal_gas_pressure(273.15, 0.0224, SI_CONSTANTS)
         assert 1.0e5 < p < 1.03e5
+
+    def test_ideal_gas_nan_temperature_is_rejected(self):
+        with pytest.raises(DomainError, match="bad_argument"):
+            ideal_gas_pressure(math.nan, 1.0, SI_CONSTANTS)
