@@ -128,9 +128,6 @@ class SparsePoly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
-
     def __repr__(self):
         if not self.terms:
             return "0"

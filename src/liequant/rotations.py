@@ -27,6 +27,35 @@ __all__ = [
 _EYE3 = np.eye(3)
 
 
+def _su2_product(x1, y1, x2, y2):
+    """(x, y) of U(x1, y1) U(x2, y2), for complex scalars or arrays of one shape."""
+    return x1 * x2 - y1 * y2.conjugate(), x1 * y2 + y1 * x2.conjugate()
+
+
+def _cover(x, y) -> np.ndarray:
+    """R(U(x, y)) for complex scalars or 1-d arrays, of shape (3, 3) or (n, 3, 3)."""
+    x2, y2, xy, xyc = x * x, y * y, x * y, x * y.conjugate()
+    # written transposed: .T reverses every axis, so a stack gets its 3 x 3 axes last
+    return np.array([
+        [(x2 - y2).real, -(x2 - y2).imag, 2.0 * xyc.real],
+        [(x2 + y2).imag, (x2 + y2).real, 2.0 * xyc.imag],
+        [-2.0 * xy.real, 2.0 * xy.imag, abs(x) ** 2 - abs(y) ** 2],
+    ]).T
+
+
+def _check_so3(m: np.ndarray, shape: tuple = (3, 3)) -> np.ndarray:
+    """Return m if each 3x3 matrix in it passes is_special_orthogonal(., Tolerance(1e-9, 0))."""
+    if m.shape != shape:
+        raise DomainError("shape", "rotation must be 3x3")
+    # a rotation has no entry above 1, and the bound keeps m^T m and det m finite
+    if np.count_nonzero(abs(m) <= 2.0) < m.size \
+            or np.count_nonzero(abs(m.swapaxes(-1, -2) @ m - _EYE3) > 1e-9) \
+            or np.count_nonzero(abs(np.linalg.det(m) - 1.0) > 1e-9):
+        check_finite(m, "a rotation entry")  # a NaN or infinite entry is not_finite
+        raise DomainError("not_rotation", "matrix is not special orthogonal")
+    return m
+
+
 @dataclass(frozen=True)
 class Rotation:
     """A 3x3 special orthogonal matrix."""
@@ -34,16 +63,7 @@ class Rotation:
     m: np.ndarray
 
     def __post_init__(self):
-        # the verdict of is_special_orthogonal(m, Tolerance(1e-9, 0.0)), on the real array
-        m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise DomainError("shape", "rotation must be 3x3")
-        largest = check_finite(np.abs(m).max(), "a rotation entry")
-        # a rotation has no entry above 1, and the bound keeps m^T m in the float range
-        if largest > 2.0 or np.abs(m.T @ m - _EYE3).max() > 1e-9 \
-                or not abs(np.linalg.det(m) - 1.0) <= 1e-9:
-            raise DomainError("not_rotation", "matrix is not special orthogonal")
-        m = m.copy()
+        m = _check_so3(np.array(self.m, dtype=float, order="C"))  # a copy
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
 
@@ -67,14 +87,8 @@ class SU2Element:
         if abs(abs(self.x) ** 2 + abs(self.y) ** 2 - 1.0) > 1e-12:
             raise DomainError("not_unit", "|x|^2 + |y|^2 must be 1")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        x, y = complex(self.x), complex(self.y)
-        return np.array([[x, y], [-np.conj(y), np.conj(x)]])
-
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
-        m = self.matrix @ other.matrix
-        return SU2Element(m[0, 0], m[0, 1])
+        return SU2Element(*_su2_product(self.x, self.y, other.x, other.y))
 
     def __neg__(self) -> "SU2Element":
         return SU2Element(-self.x, -self.y)
@@ -197,14 +211,7 @@ def euler_zyz(r: Rotation):
 
 def covering_map(u: SU2Element) -> Rotation:
     """The 2:1 homomorphism SU(2) -> SO(3) in closed form."""
-    x, y = complex(u.x), complex(u.y)
-    x2, y2, xy, xyc = x * x, y * y, x * y, x * np.conj(y)
-    m = np.array([
-        [(x2 - y2).real, (x2 + y2).imag, -2.0 * xy.real],
-        [-(x2 - y2).imag, (x2 + y2).real, 2.0 * xy.imag],
-        [2.0 * xyc.real, 2.0 * xyc.imag, abs(x) ** 2 - abs(y) ** 2],
-    ])
-    return Rotation(m)
+    return Rotation(_cover(complex(u.x), complex(u.y)))
 
 
 def _normalize_sign(x: complex, y: complex):

@@ -43,9 +43,10 @@ class EnergyLevels:
     unit: str = "J"
 
     def __init__(self, values, unit: str = "J"):
-        vals = np.sort(np.asarray(values, dtype=float))
+        vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise DomainError("shape", "need a nonempty 1-d level list")
+        vals = np.sort(vals)
         # sorted, so a NaN (last) or an infinite end makes the span non-finite too
         span = float(finite(lambda: vals[-1] - vals[0], "the level span"))
         merged = [vals[0]]
@@ -136,10 +137,11 @@ def _best_assignment(e: np.ndarray, data: SpectrumDataset, hbar: float):
     j, k = np.nonzero(e[:, None] > e[None, :])
     if not j.size:
         raise DomainError("degenerate_levels", "no positive energy differences")
-    terms = ((e[j] - e[k]) / (hbar * data.omegas[:, None]) - 1.0) ** 2
-    # enforce the documented tie-break among near-equal terms: the first tied pair
-    best = terms.min(axis=1, keepdims=True)
-    first = np.argmax(terms <= best * (1 + 1e-12) + 1e-300, axis=1)
+    with np.errstate(over="ignore"):  # an infinite term is a valid worst for the argmin
+        terms = ((e[j] - e[k]) / (hbar * data.omegas[:, None]) - 1.0) ** 2
+        # enforce the documented tie-break among near-equal terms: the first tied pair
+        best = terms.min(axis=1, keepdims=True)
+        first = np.argmax(terms <= best * (1 + 1e-12) + 1e-300, axis=1)
     return j[first] + 1, k[first] + 1
 
 

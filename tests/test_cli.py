@@ -237,6 +237,80 @@ class TestContract:
         assert json.loads(target.read_text())["x"] > 2.8
 
 
+def reference_cover_check(samples, seed):
+    """The per-sample loop that cover-check ran before it drew and checked a batch."""
+    from liequant.rotations import covering_map, haar_su2
+    rng = np.random.default_rng(seed)
+    worst_h = worst_sign = 0.0
+    kernel_ok = True
+    for _ in range(samples):
+        u1 = haar_su2(rng)
+        u2 = haar_su2(rng)
+        r1 = covering_map(u1).m
+        prod = covering_map(u1 @ u2).m
+        worst_h = max(worst_h, float(np.max(np.abs(prod - r1 @ covering_map(u2).m))))
+        worst_sign = max(worst_sign, float(np.max(np.abs(covering_map(-u1).m - r1))))
+        if np.max(np.abs(r1 - np.eye(3))) <= 1e-10:
+            near = min(abs(u1.x - 1) + abs(u1.y), abs(u1.x + 1) + abs(u1.y))
+            kernel_ok = kernel_ok and near <= 1e-8
+    return {"samples": samples, "max_homomorphism_defect": worst_h,
+            "max_sign_defect": worst_sign, "kernel_ok": kernel_ok,
+            "pass": worst_h <= 1e-10 and worst_sign <= 1e-14 and kernel_ok}
+
+
+class TestCoverCheckBatch:
+    """cover-check checks all samples as arrays, with the checks of the per-sample loop."""
+
+    @pytest.mark.parametrize("samples, seed", [(0, 0), (1, 5), (2, 9), (1000, 7), (1000, 40)])
+    def test_matches_the_per_sample_loop(self, capsys, samples, seed):
+        code, out, err = run_cli(capsys, "cover-check", "--samples", str(samples),
+                                 "--seed", str(seed))
+        got, want = json.loads(out), reference_cover_check(samples, seed)
+        assert (code, err) == (0, "")
+        # batched arithmetic rounds differently in the last bits of the products
+        assert abs(got.pop("max_homomorphism_defect") -
+                   want.pop("max_homomorphism_defect")) <= 2e-15
+        assert got == want and got["max_sign_defect"] == 0.0
+
+    def test_zero_samples_output(self, capsys):
+        code, out, _ = run_cli(capsys, "cover-check", "--samples", "0")
+        assert code == 0
+        assert out == ('{\n  "samples": 0,\n  "max_homomorphism_defect": 0.0,\n'
+                       '  "max_sign_defect": 0.0,\n  "kernel_ok": true,\n  "pass": true\n}\n')
+
+    def test_no_loop_over_samples(self):
+        import ast
+        import inspect
+
+        from liequant import cli
+
+        tree = ast.parse(inspect.getsource(cli._cmd_cover_check))
+        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+        # the one comprehension runs over the four images R(u1), R(u2), R(u1 u2), R(-u1)
+        assert [ast.unparse(c.iter) for c in ast.walk(tree)
+                if isinstance(c, ast.comprehension)] == ["pairs"]
+
+    def test_transposed_cover_fails_the_homomorphism(self, capsys, monkeypatch):
+        from liequant import rotations
+        cover = rotations._cover
+        monkeypatch.setattr(rotations, "_cover", lambda x, y: cover(x, y).swapaxes(-1, -2))
+        assert run_cli(capsys, "cover-check", "--samples", "20") == (1, "", "check_failed\n")
+
+    def test_scaled_cover_is_not_a_rotation(self, capsys, monkeypatch):
+        from liequant import rotations
+        cover = rotations._cover
+        monkeypatch.setattr(rotations, "_cover", lambda x, y: 1.001 * cover(x, y))
+        assert run_cli(capsys, "cover-check", "--samples", "20") == (1, "", "not_rotation\n")
+
+    def test_trivial_cover_fails_the_kernel(self, capsys, monkeypatch):
+        """A map onto the identity is a homomorphism that loses signs, but its kernel is all
+        of SU(2): only the kernel test tells it from the covering map."""
+        from liequant import rotations
+        monkeypatch.setattr(rotations, "_cover",
+                            lambda x, y: np.broadcast_to(np.eye(3), np.shape(x) + (3, 3)))
+        assert run_cli(capsys, "cover-check", "--samples", "20") == (1, "", "check_failed\n")
+
+
 class TestBadInput:
     """Malformed input ends in a usage error (2) or a token (1), never a traceback."""
 
@@ -361,6 +435,17 @@ class TestBadInput:
         # a level span past the float range: warned, merged the levels, then too_few
         ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1e308, -1e308]}'},
          ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
+        # a JSON integer past the float range is infinite, as 1e400 is: it raised OverflowError
+        ({"m.json": '{"matrix": [[1%s, 0, 0], [0, 1, 0], [0, 0, 1]]}' % ("0" * 400)},
+         ("euler", "--in", "m.json"), "not_finite"),
+        ({"m.json": '{"matrix": 1%s}' % ("0" * 400)}, ("lift", "--in", "m.json"), "shape"),
+        ({"m.json": '{"matrix": [[1%s]]}' % ("0" * 400)},
+         ("gibbs", "--in", "m.json", "--beta", "1"), "not_finite"),
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1, 1%s]}' % ("0" * 400)},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "not_finite"),
+        # a level list that is one number: it raised AxisError
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": 0.0}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "shape"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -436,9 +521,24 @@ def test_fock_edge_cases_succeed(argv):
     assert check_contract(argv) == 0
 
 
+# Valid assign runs where a far level's difference over hbar*omega (1e300 / 1e-10)
+# or its square (1e160 squared) leaves the float range: each printed an overflow
+# RuntimeWarning.  The term is infinite, which is never the best for the line.
+OVERFLOW_ASSIGN_FILES = [
+    {"d.csv": "omega,weight\n1e-10,1\n", "l.json": json.dumps({"levels": [0, 1, top]})}
+    for top in (1e150, 1e300)]
+
+
+@pytest.mark.parametrize("files", OVERFLOW_ASSIGN_FILES, ids=lambda files: files["l.json"])
+def test_overflowing_assign_terms_succeed(files, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code, out, err = run_process("assign", "--data", "d.csv", "--levels", "l.json", cwd=tmp_path)
+    assert (code, err) == (0, "")
+    assert_finite_output(out)
+
+
 # The largest size under each cap finishes (one more is size_cap, in TestBadInput).
-# cover-check --samples MAX_SAMPLES is left out: it takes about 16 s, where the
-# other MAX_SAMPLES rows below take about 1 s each.
 CAP_ARGVS = [
     ("rigidbody", "--inertia=1,2,3", "--j0=1,0.5,0.2", "--steps", str(MAX_SAMPLES)),
     ("rydberg", "--kmax", str(MAX_KMAX)),
@@ -449,6 +549,7 @@ CAP_ARGVS = [
     ("cg", "--k", f"{math.isqrt(MAX_DIM) - 1}/2", "--l", f"{math.isqrt(MAX_DIM) - 1}/2"),
     ("blackbody", "--temperature", "300", "--points", str(MAX_SAMPLES)),
     ("algebra-verify", "--name", f"gl({math.isqrt(DIM_CAP)})"),  # dimension n^2
+    ("cover-check", "--samples", str(MAX_SAMPLES)),
 ]
 # the files named by the assign row: spectra.MAX_ASSIGN_LINES lines over two levels
 CAP_FILES = {"cap_lines.csv": "omega,weight\n" + "1.0,1.0\n" * MAX_ASSIGN_LINES,
@@ -485,7 +586,16 @@ CONTRACT_COMMANDS = [
     ("fermion-check", (), ("--modes",)),
     ("gibbs", ("--beta",), ("--levels",)),
     ("wien", (), ()),
+    ("euler", ("--in",), ()),
+    ("lift", ("--in",), ()),
+    ("gibbs", ("--beta", "--in"), ()),
+    # --starts and --max-iters are left out: neither has a cap, and a huge value runs for hours
+    ("assign", ("--data", "--levels"), ("--hbar", "--seed")),
 ]
+# options that name an input file, and the kind of file drawn for each
+FILE_OPTIONS = {("euler", "--in"): "matrix", ("lift", "--in"): "matrix",
+                ("gibbs", "--in"): "matrix", ("assign", "--data"): "lines",
+                ("assign", "--levels"): "levels"}
 FLAG_OPTIONS = {"--dump"}
 PAIR_OPTIONS = {"--lam", "--z", "--evolve"}
 # number of comma-separated values, where an option takes more than one
@@ -540,10 +650,36 @@ def test_contract_counterexample(argv):
     check_contract(argv)
 
 
+# Shrunk counterexamples of the file strategies, run in a directory holding the
+# files: a JSON integer past the float range raised OverflowError, and a level
+# list that is one number raised AxisError
+HUGE_INTEGER = "1" + "0" * 400
+FILE_COUNTEREXAMPLES = [
+    *(((*command, "--in=m.json"), {"m.json": f'{{"matrix": {HUGE_INTEGER}}}'})
+      for command in (("euler",), ("lift",), ("gibbs", "--beta=0"))),
+    (("assign", "--data=d.csv", "--levels=l.json"),
+     {"d.csv": "omega,weight\n2047,2047\n", "l.json": '{"levels": 0.0}'}),
+]
+
+
+@pytest.mark.parametrize("argv, files", FILE_COUNTEREXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in FILE_COUNTEREXAMPLES])
+def test_file_contract_counterexample(argv, files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    check_contract(argv)
+
+
+def contract_id(command, required, optional):
+    """The command, and the file options it reads, such as ``euler --in``."""
+    return " ".join((command, *(o for o in required if (command, o) in FILE_OPTIONS)))
+
+
 @pytest.mark.parametrize("command, required, optional", CONTRACT_COMMANDS,
-                         ids=[c[0] for c in CONTRACT_COMMANDS])
-def test_contract_property(command, required, optional):
-    """Exit codes, tokens and finite output hold for extreme and invalid numbers."""
+                         ids=[contract_id(*c) for c in CONTRACT_COMMANDS])
+def test_contract_property(command, required, optional, tmp_path):
+    """Exit codes, tokens and finite output hold for extreme and invalid numbers and files."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     number = st.one_of(st.sampled_from(SPECIAL_NUMBERS), st.integers(-2, 60).map(str),
@@ -563,6 +699,29 @@ def test_contract_property(command, required, optional):
         st.builds("{}({})".format, st.sampled_from(("gl", "sl", "so", "sp")), args.map(",".join)))
     values = {"--axis": st.sampled_from(("x", "y", "z")), "--name": name,
               **dict.fromkeys(("--j", "--k", "--l"), spin)}
+    # JSON files: the field as numbers of the right shape, or as nested lists of
+    # numbers, NaN, Infinity, huge integers, strings, booleans and null; or a
+    # document of another shape, or text that does not parse
+    real = number.map(float)
+    leaf = st.one_of(real, st.integers(-2, 60), st.just(10**400), st.booleans(), st.none(),
+                     st.text(max_size=2))
+    nested = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3), max_leaves=10)
+    square = st.integers(0, 4).flatmap(
+        lambda n: st.lists(st.lists(real, min_size=n, max_size=n), min_size=n, max_size=n))
+    turns = st.sampled_from(([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]],
+                             [[-1, 0, 0], [0, -1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
+
+    def json_file(key, field):
+        return st.one_of(st.builds(lambda v: json.dumps({key: v}), st.one_of(field, nested)),
+                         nested.map(json.dumps), st.sampled_from(("", "{", f'{{"{key}": ]')))
+
+    # CSV files under the header: 0 to 3 columns of numbers, empty fields and text
+    field = st.one_of(number, st.sampled_from(("", "x", "1e400")))
+    rows = st.integers(0, 3).flatmap(
+        lambda k: st.lists(st.lists(field, min_size=k, max_size=k).map(",".join), max_size=4))
+    files = {"matrix": json_file("matrix", st.one_of(square, turns)),
+             "levels": json_file("levels", st.lists(real, max_size=5)),
+             "lines": rows.map(lambda lines: "omega,weight\n" + "".join(f"{l}\n" for l in lines))}
 
     @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None,
                          suppress_health_check=[hypothesis.HealthCheck.too_slow])
@@ -570,7 +729,11 @@ def test_contract_property(command, required, optional):
     def check(data):
         argv = [command]
         for option in required + optional:
-            if option in FLAG_OPTIONS:
+            if (command, option) in FILE_OPTIONS:
+                path = tmp_path / option.lstrip("-")
+                path.write_text(data.draw(files[FILE_OPTIONS[command, option]]))
+                argv.append(f"{option}={path}")
+            elif option in FLAG_OPTIONS:
                 argv += [option] * data.draw(st.booleans())
             elif option in required or data.draw(st.booleans()):
                 draw = values.get(option, number)

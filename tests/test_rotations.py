@@ -20,6 +20,7 @@ from liequant.rotations import (
     rotation_axis,
     vee,
 )
+from liequant.rotations import _check_so3, _cover, _su2_product
 
 
 class TestHatVee:
@@ -324,3 +325,133 @@ class TestNonFiniteInput:
     def test_apply(self, v):
         with pytest.raises(DomainError, match="not_finite"):
             rodrigues([0.0, 0.0, np.pi / 4]).apply(v)
+
+
+class TestStackCheck:
+    """_check_so3 on a stack gives each matrix the verdict Rotation gives it alone."""
+
+    @staticmethod
+    def stack(rng, n):
+        return np.array([covering_map(haar_su2(rng)).m for _ in range(n)])
+
+    def test_stack_of_rotations_passes(self):
+        m = self.stack(np.random.default_rng(12), 5)
+        assert _check_so3(m, (5, 3, 3)) is m
+
+    def test_empty_stack_passes(self):
+        m = np.empty((0, 3, 3))
+        assert _check_so3(m, (0, 3, 3)) is m
+
+    @pytest.mark.parametrize("bad, token", [
+        (np.diag([1.0, 1.0, np.nan]), "not_finite"), (np.diag([np.inf, 1.0, 1.0]), "not_finite"),
+        (3.0 * np.eye(3), "not_rotation"), (-np.eye(3), "not_rotation")])
+    def test_one_bad_matrix_fails_the_stack(self, bad, token):
+        m = self.stack(np.random.default_rng(13), 4)
+        m[2] = bad
+        assert TestRotationCheck.token(bad) == token
+        with pytest.raises(DomainError, match=token):
+            _check_so3(m, (4, 3, 3))
+
+    def test_rotation_rejects_a_stack(self):
+        assert TestRotationCheck.token(np.stack([np.eye(3)] * 2)) == "shape"
+        assert TestRotationCheck.token(np.eye(3)[None]) == "shape"
+
+
+# SU(2) elements as unit 4-vectors (Re x, Im x, Re y, Im y): generic points,
+# points within about 1e-9 of +-1, half-turns (x within about 1e-9 of 0) and
+# the exact points +-1, x = i, y = 1 and y = -i
+def su2_vectors(st):
+    unit, tiny = st.floats(-1.0, 1.0), st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9))
+    return st.one_of(
+        st.tuples(unit, unit, unit, unit).filter(lambda v: np.linalg.norm(v) > 1e-3),
+        st.builds(lambda s, a, b, c, d: (s + a, b, c, d),
+                  st.sampled_from((1.0, -1.0)), tiny, tiny, tiny, tiny),
+        st.tuples(tiny, tiny, unit, unit).filter(lambda v: np.linalg.norm(v[2:]) > 1e-3),
+        st.sampled_from(((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
+                         (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, -1.0))),
+    ).map(lambda v: np.asarray(v) / np.linalg.norm(v))
+
+
+def element(v) -> SU2Element:
+    return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def for_all(check, examples=300):
+    """Run ``check(draw, st)`` on derandomized hypothesis draws; skip without hypothesis."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def run(data):
+        check(data.draw, st)
+
+    run()
+
+
+class TestDoubleCoverProperties:
+    """The oracles of the double cover, with draws near its special points."""
+
+    def test_homomorphism(self):
+        def check(draw, st):
+            u1, u2 = element(draw(su2_vectors(st))), element(draw(su2_vectors(st)))
+            defect = covering_map(u1 @ u2).m - covering_map(u1).m @ covering_map(u2).m
+            assert np.abs(defect).max() <= 1e-12
+        for_all(check)
+
+    def test_sign_is_lost_exactly(self):
+        def check(draw, st):
+            u = element(draw(su2_vectors(st)))
+            assert np.array_equal(covering_map(-u).m, covering_map(u).m)
+        for_all(check)
+
+    def test_kernel_is_plus_minus_one(self):
+        """R(u) is near 1 exactly when u is near +-1.
+
+        With d the distance of the 4-vector u from the nearer of +-1 and t the
+        rotation angle, |R(u) - 1|_F = 2 sqrt(2) d cos(t/4) lies between 2d and
+        2 sqrt(2) d, and the largest entry of R(u) - 1 between a third of it and all of it.
+        """
+        def check(draw, st):
+            v = draw(su2_vectors(st))
+            d = min(np.linalg.norm(v - [1, 0, 0, 0]), np.linalg.norm(v + [1, 0, 0, 0]))
+            gap = np.abs(covering_map(element(v)).m - np.eye(3)).max()
+            assert gap <= 3.0 * d + 1e-15 and d <= 1.5 * gap + 1e-15
+            if np.array_equal(np.abs(v), [1, 0, 0, 0]):  # u = +-1 itself
+                assert gap == 0.0
+        for_all(check)
+
+    def test_lift_inverts_the_cover(self):
+        def check(draw, st):
+            u = element(draw(su2_vectors(st)))
+            r = covering_map(u)
+            lifted = lift_to_su2(r)
+            assert np.abs(covering_map(lifted).m - r.m).max() <= 1e-12
+            assert min(abs(lifted.x - s * u.x) + abs(lifted.y - s * u.y) for s in (1, -1)) <= 1e-12
+        for_all(check)
+
+    def test_batch_matches_one_element(self):
+        """_cover and _su2_product on stacks give what covering_map and @ give one by one."""
+        def check(draw, st):
+            pairs = draw(st.lists(st.tuples(su2_vectors(st), su2_vectors(st)), min_size=1,
+                                  max_size=6))
+            (x1, y1), (x2, y2) = (np.array(vs).view(complex).T for vs in zip(*pairs))
+            stack, (x, y) = _cover(x1, y1), _su2_product(x1, y1, x2, y2)
+            assert stack.shape == (len(pairs), 3, 3)
+            for i, (v1, v2) in enumerate(pairs):
+                prod = element(v1) @ element(v2)
+                assert np.abs(stack[i] - covering_map(element(v1)).m).max() <= 1e-15
+                assert abs(x[i] - prod.x) <= 1e-15 and abs(y[i] - prod.y) <= 1e-15
+        for_all(check, examples=100)
+
+    def test_batched_draw_matches_successive_draws(self):
+        """cover-check draws every 4-normal vector at once, which is the stream of haar_su2."""
+        def check(draw, st):
+            seed, n = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 50))
+            v = np.random.default_rng(seed).standard_normal((n, 2, 4))
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            rng = np.random.default_rng(seed)
+            for x, y in v.view(complex).reshape(2 * n, 2):
+                u = haar_su2(rng)
+                assert abs(x - u.x) <= 1e-15 and abs(y - u.y) <= 1e-15
+        for_all(check, examples=50)

@@ -346,6 +346,14 @@ class TestAssignmentAgainstReference:
             assert (got.objective, got.stopped_on, got.flags) == \
                 (want.objective, want.stopped_on, want.flags)
 
+    @pytest.mark.parametrize("top", [1e150, 1e300])
+    def test_terms_past_the_float_range_are_the_worst(self, top):
+        """(1e150 / 1e-10)^2 overflows in the square, 1e300 / 1e-10 in the divide: each term
+        is infinite, with no RuntimeWarning (the suite makes one an error)."""
+        data = SpectrumDataset([1e-10], [1.0])
+        got = _best_assignment(np.array([0.0, 1.0, top]), data, 1.0)
+        assert same_assignment(got, (np.array([2]), np.array([1])))
+
     def test_no_loop_over_lines(self):
         import ast
         import inspect
