@@ -18,22 +18,40 @@ import os
 import sys
 import warnings
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
-from .errors import MAX_ORDER, MAX_SAMPLES, DomainError, check_cap
+from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS, MAX_ORDER, MAX_SAMPLES, DomainError,
+                     check_cap)
 
 
 def _jdump(obj) -> str:
-    def default(o):
-        if isinstance(o, complex):
-            return [o.real, o.imag]
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        if isinstance(o, np.integer):
-            return int(o)
-        raise TypeError(f"not serializable: {type(o)}")
-    return json.dumps(obj, indent=2, default=default) + "\n"
+    """``json.dumps(obj, indent=2)`` and a newline, with a complex number as [re, im] and an
+    array as a list: the same bytes, built by joins, as the encoder ``indent`` selects is slow."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(o, nl: str) -> str:
+    """``o`` as JSON; ``nl`` is a newline and the indent of the line ``o`` starts on."""
+    if isinstance(o, complex):
+        o = [o.real, o.imag]
+    elif isinstance(o, (np.ndarray, np.integer)):
+        o = o.tolist()
+    if not isinstance(o, (list, tuple, dict)) or not o:
+        return json.dumps(o)  # a number, str, bool, None, [] or {}
+    inner = nl + "  "
+    if isinstance(o, dict):
+        return "{" + inner + ("," + inner).join(
+            [json.dumps(k) + ": " + _json(v, inner) for k, v in o.items()]) + nl + "}"
+    rows = set(map(type, o)) == {list} and all(o)
+    if set(map(type, chain.from_iterable(o) if rows else o)) <= {int, float}:  # one join
+        cell = inner + "  "
+        text = ("," + inner).join([f"[{cell}{(',' + cell).join(map(repr, row))}{inner}]"
+                                   for row in o] if rows else map(repr, o))
+        if "n" not in text:  # else a nan or inf, which JSON writes as NaN or Infinity
+            return "[" + inner + text + nl + "]"
+    return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + nl + "]"
 
 
 def _write(args, text: str) -> None:
@@ -80,7 +98,10 @@ def _json_array(path: str, key: str, max_rows=math.inf) -> np.ndarray:
         try:
             value = json.load(fh, parse_int=float)[key]  # a huge integer is inf, as 1e400
             if not (isinstance(value, list) and len(value) > max_rows):
-                return np.array(value, dtype=float)
+                array = np.array(value, dtype=float)
+                if bool in set(map(type, np.array(value, dtype=object).flat)):
+                    raise ValueError("true and false are not numbers")
+                return array
         except (ValueError, KeyError, TypeError) as err:
             raise DomainError("bad_input", f"{path}: no numeric field {key!r}") from err
     check_cap(len(value), max_rows, f"{path}: rows of {key!r}")  # reached only past the cap
@@ -255,8 +276,8 @@ def _cmd_cg(args) -> str:
     out = {"k": args.k, "l": args.l,
            "summands": [{"j": j, "multiplicity": m} for j, m in summands],
            "dimension_check": int(sum(int(2 * j) + 1 for j, _ in summands))}
-    if args.full:
-        out["isometry"] = [[complex(v) for v in row] for row in iso]
+    if args.full:  # each entry as [re, im], as _jdump writes a complex number
+        out["isometry"] = np.stack((iso.real, iso.imag), axis=-1).tolist()
     return _jdump(out)
 
 
@@ -313,6 +334,8 @@ def _cmd_rydberg(args) -> str:
 
 def _cmd_assign(args) -> str:
     from . import spectra
+    check_cap(args.starts, MAX_ASSIGN_STARTS, "--starts")
+    check_cap(args.max_iters, MAX_ASSIGN_ITERS, "--max-iters")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a CSV with no rows
@@ -328,8 +351,8 @@ def _cmd_assign(args) -> str:
         rng=np.random.default_rng(_seed(args)))
     return _jdump({
         "levels": best.levels.tolist(),
-        "assignments": [[l + 1, int(j), int(k)] for l, (j, k)
-                        in enumerate(zip(best.upper, best.lower))],
+        "assignments": np.column_stack(
+            (np.arange(1, len(best.upper) + 1), best.upper, best.lower)).tolist(),
         "objective": best.objective,
         "stopped_on": best.stopped_on,
         "flags": list(best.flags),

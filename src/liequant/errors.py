@@ -15,10 +15,12 @@ MAX_ORDER = 600  # gibbs --in m.json --beta 1, m a 600 x 600 Hilbert matrix: 1.7
 MAX_LEVELS = 2048  # highest-weight --u 1 --v 0 --max-levels 2048: 0.39 s, 121 MB
 MAX_MODES = 12  # fermion-check --modes 12: 0.31 s, 33 MB
 DIM_CAP = 64  # algebra-verify --name "gl(8)": 0.73 s, 256 MB
-MAX_DIM = 900  # cg --k 29/2 --l 29/2: 1.1 s, 81 MB
+MAX_DIM = 900  # cg --k 29/2 --l 29/2: 0.3 s, 57 MB
 MAX_KMAX = 1000  # rydberg --kmax 1000: 1.2 s, 156 MB
 MAX_ASSIGN_TERMS = 12_000_000  # assign, 120 levels x 1,680 random lines: 6.9 s, 141 MB
 MAX_ASSIGN_LINES = 500_000  # assign, 3 levels x 500,000 random lines: 9.8 s, 307 MB
+MAX_ASSIGN_STARTS = 1_000  # assign --starts 1000, the README's 6 lines, 4 levels: 0.6 s, 37 MB
+MAX_ASSIGN_ITERS = 1_000  # assign --max-iters 1000, 3 lines that never converge: 0.4 s, 37 MB
 
 
 class DomainError(ValueError):

@@ -4,7 +4,7 @@ Spins are stored as twice-spin integers internally so that half-integer
 labels never touch floating point.  The coupling coefficients are found
 numerically, not from closed-form tables: each block's top state is the
 kernel of the total raising operator on its weight space, and a lowering
-cascade fills in the rest of the block.
+cascade and the reflection m -> -m fill in the rest of the block.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import MAX_DIM, DomainError, check_cap
 from .liealg import _bracket_coords
-from .matrixcore import as_square, eig_hermitian, kron_embed
+from .matrixcore import as_square, eig_hermitian
 
 __all__ = [
     "IrrepDj",
@@ -72,23 +72,20 @@ def build_irrep(j) -> IrrepDj:
     check_cap(dim, MAX_DIM, "2j+1")
     jj = twoj / 2.0
     t3 = np.diag([jj - i for i in range(dim)]).astype(complex)
-    m = jj - np.arange(1, dim)  # raising from row i (eigenvalue m) to row i-1
-    lplus = np.diag(np.sqrt(jj * (jj + 1) - m * (m + 1)), 1).astype(complex)
+    lplus = np.diag(_raising(twoj), 1).astype(complex)
     lminus = lplus.conj().T
     return IrrepDj(twoj, t3, lplus, lminus)
+
+
+def _raising(twoj: int) -> np.ndarray:
+    """The L+ numbers of spin j: entry i raises row i+1 (m = j-i-1) to row i."""
+    m = twoj / 2.0 - np.arange(1, twoj + 1)
+    return np.sqrt(twoj / 2.0 * (twoj / 2.0 + 1) - m * (m + 1))
 
 
 def casimir(rep: IrrepDj) -> np.ndarray:
     """J^2 = L+ L- - t3 + t3^2, equal to j(j+1) times the identity."""
     return rep.lplus @ rep.lminus - rep.t3 + rep.t3 @ rep.t3
-
-
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate so the first component above noise is real positive."""
-    for comp in vec:
-        if abs(comp) > 1e-8:
-            return vec * (abs(comp) / comp)
-    return vec
 
 
 def clebsch_gordan(k, l):
@@ -99,44 +96,51 @@ def clebsch_gordan(k, l):
     throughout), and ``isometry`` maps the direct sum, ordered by
     descending j and descending m inside each block, into the tensor
     product, whose basis |k m1> (x) |l m2> has m1 and m2 descending.
+    Its entries are real; its dtype is complex.
 
-    The product basis diagonalizes t3, so the top state of block j is
-    the one-dimensional kernel of the total L+ restricted to the m = j
-    weight space, read off one SVD.  Its first component (largest m1)
-    is made real positive, the Condon-Shortley convention, and the
-    lowering cascade fixes every other phase, so the isometry is
-    deterministic.
+    On the (2k+1) x (2l+1) grid of product states the top state of block
+    j = k+l-s lies on the antidiagonal a + b = s, where L+ v = 0 reads
+    v(a+1, b-1) = -c_l[b-1] / c_k[a] v(a, b).  Starting at v(0, s) = 1 makes
+    the first component (largest m1) positive, the Condon-Shortley phase.
+    All blocks are lowered together down to m = 0 or 1/2, and
+    <k -m1; l -m2 | j -m> = (-1)^(k+l-j) <k m1; l m2 | j m> gives the rest.
     """
     twok, twol = _twice(k), _twice(l)
-    check_cap((twok + 1) * (twol + 1), MAX_DIM, "(2k+1)(2l+1)")
-    rk, rl = build_irrep(Fraction(twok, 2)), build_irrep(Fraction(twol, 2))
-    dims = (rk.dim, rl.dim)
-    lp = kron_embed(rk.lplus, 0, dims) + kron_embed(rl.lplus, 1, dims)
-    lm = lp.conj().T
-    twice_m = np.add.outer(np.arange(twok, -twok - 1, -2), np.arange(twol, -twol - 1, -2)).ravel()
-    dim = rk.dim * rl.dim
-
-    summands = []
-    columns = []
-    for twoj in range(twok + twol, abs(twok - twol) - 2, -2):
-        jj = twoj / 2.0
-        summands.append((jj, 1))
-        sel = np.flatnonzero(twice_m == twoj)
-        vec = np.zeros(dim, dtype=complex)
-        vec[sel] = np.linalg.svd(lp[:, sel], full_matrices=False)[2][-1].conj()
-        vec = _fix_phase(vec)
-        columns.append(vec)
-        for _ in range(twoj):
-            vec = lm @ vec
-            norm = np.linalg.norm(vec)
-            if norm < 1e-12:
-                raise DomainError("cascade_collapse", f"lowering died inside j={jj}")
-            vec = vec / norm
-            columns.append(vec)
-    iso = np.stack(columns, axis=1)
-    if iso.shape != (dim, dim):
+    dim = (twok + 1) * (twol + 1)
+    check_cap(dim, MAX_DIM, "(2k+1)(2l+1)")
+    ck, cl = _raising(twok), _raising(twol)
+    twoj = twok + twol - 2 * np.arange(min(twok, twol) + 1)
+    # row s of top is v(a, s-a), a = 0..s: the zeros that tril puts past a = s end each cumprod
+    s, a = np.nonzero(np.arange(len(twoj))[:, None] > np.arange(len(twoj)))
+    ratio = np.ones((len(twoj),) * 2)
+    ratio[s, a + 1] = -cl[s - a - 1] / ck[a]
+    top = np.cumprod(np.tril(ratio), axis=1)
+    top /= np.linalg.norm(top, axis=1, keepdims=True)
+    s, a = np.nonzero(top)
+    vec = np.zeros((len(twoj), twok + 1, twol + 1))
+    vec[s, a, s - a] = top[s, a]
+    step, block = np.nonzero(np.arange(twoj[0] // 2 + 1)[:, None] <= twoj // 2)  # m = j - step
+    states = [vec]
+    for active in np.bincount(step)[1:]:  # one lowering of every block with m > 0 left
+        low = np.zeros_like(vec[:active])
+        low[:, 1:] = ck[:, None] * vec[:active, :-1]
+        low[:, :, 1:] += cl * vec[:active, :, :-1]
+        norm = np.sqrt(np.einsum("sab,sab->s", low, low))
+        if norm.min() < 1e-12:
+            raise DomainError("cascade_collapse", f"lowering died at step {len(states)}")
+        vec = low / norm[:, None, None]
+        states.append(vec)
+    upper = np.concatenate(states).reshape(-1, dim)
+    start = np.cumsum(twoj + 1) - twoj - 1  # column j - m of block s is start[s] + j - m
+    iso = np.zeros((dim, dim))
+    iso[:, start[block] + step] = upper.T
+    flip = 2 * step < twoj[block]  # m > 0, mirrored to -m, which reverses the grid
+    step, block, mirror = step[flip], block[flip], upper[flip, ::-1].T
+    # the sign (-1)^s as 0 - x, not -x, which would print the zeros as -0.0
+    iso[:, start[block] + twoj[block] - step] = np.where(block % 2, 0.0 - mirror, mirror)
+    if len(flip) + len(step) != dim:
         raise DomainError("dimension_mismatch", "coupled basis has wrong size")
-    return summands, iso
+    return [(tj / 2.0, 1) for tj in twoj.tolist()], iso.astype(complex)
 
 
 def spinor_inner(x, y, s) -> complex:

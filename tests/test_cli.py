@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import liequant
+from liequant import cli
 from liequant.cli import MAX_ORDER, MAX_SAMPLES, main
+from liequant.errors import MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS
 from liequant.fermion import MAX_MODES
 from liequant.fock import MAX_LEVELS
 from liequant.liealg import DIM_CAP
@@ -446,6 +448,16 @@ class TestBadInput:
         # a level list that is one number: it raised AxisError
         ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": 0.0}'},
          ("assign", "--data", "d.csv", "--levels", "l.json"), "shape"),
+        # JSON booleans are not numbers: they were read as 1.0 and 0.0 and exited 0
+        ({"m.json": json.dumps({"matrix": [[True, False, False], [False, True, False],
+                                           [False, False, True]]})},
+         ("euler", "--in", "m.json"), "bad_input"),
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [false, true]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        # one more than MAX_ASSIGN_STARTS starts or MAX_ASSIGN_ITERS rounds: the first ran for days
+        *(({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1]}'},
+           ("assign", "--data", "d.csv", "--levels", "l.json", option, str(cap + 1)), "size_cap")
+          for option, cap in (("--starts", MAX_ASSIGN_STARTS), ("--max-iters", MAX_ASSIGN_ITERS))),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -550,10 +562,19 @@ CAP_ARGVS = [
     ("blackbody", "--temperature", "300", "--points", str(MAX_SAMPLES)),
     ("algebra-verify", "--name", f"gl({math.isqrt(DIM_CAP)})"),  # dimension n^2
     ("cover-check", "--samples", str(MAX_SAMPLES)),
+    ("assign", "--data", "lines.csv", "--levels", "init.json", "--starts", str(MAX_ASSIGN_STARTS)),
+    ("assign", "--data", "cycle.csv", "--levels", "cycle.json",
+     "--max-iters", str(MAX_ASSIGN_ITERS)),
 ]
-# the files named by the assign row: spectra.MAX_ASSIGN_LINES lines over two levels
+# the files named by the assign rows: spectra.MAX_ASSIGN_LINES lines over two levels,
+# the README's lines, and lines whose assignment never settles (every round runs)
 CAP_FILES = {"cap_lines.csv": "omega,weight\n" + "1.0,1.0\n" * MAX_ASSIGN_LINES,
-             "cap_levels.json": '{"levels": [0, 1]}'}
+             "cap_levels.json": '{"levels": [0, 1]}',
+             "lines.csv": "omega,weight\n" + "".join(
+                 f"{w},1.0\n" for w in (0.2, 1.0, 1.5, 1.7, 2.5, 2.7)),
+             "init.json": json.dumps({"levels": [0.01, 0.99, 2.52, 2.69]}),
+             "cycle.csv": "omega,weight\n3.0,2.0\n2.0,0.5\n1.0,1.0\n",
+             "cycle.json": json.dumps({"levels": [1.85, 2.77, 0.61, 2.96]})}
 
 
 @pytest.mark.parametrize("argv", CAP_ARGVS,
@@ -564,6 +585,14 @@ def test_largest_size_under_cap_succeeds(argv, tmp_path, monkeypatch):
         if name in argv:
             (tmp_path / name).write_text(text)
     assert check_contract(argv) == 0
+
+
+def test_cycle_files_run_every_round(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in ("cycle.csv", "cycle.json"):
+        (tmp_path / name).write_text(CAP_FILES[name])
+    assert main(["assign", "--data", "cycle.csv", "--levels", "cycle.json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stopped_on"] == "max_iters"
 
 
 # (command, required options, optional options) driven by the property test
@@ -589,8 +618,7 @@ CONTRACT_COMMANDS = [
     ("euler", ("--in",), ()),
     ("lift", ("--in",), ()),
     ("gibbs", ("--beta", "--in"), ()),
-    # --starts and --max-iters are left out: neither has a cap, and a huge value runs for hours
-    ("assign", ("--data", "--levels"), ("--hbar", "--seed")),
+    ("assign", ("--data", "--levels"), ("--hbar", "--max-iters", "--starts", "--seed")),
 ]
 # options that name an input file, and the kind of file drawn for each
 FILE_OPTIONS = {("euler", "--in"): "matrix", ("lift", "--in"): "matrix",
@@ -780,3 +808,81 @@ def test_package_imports_each_submodule_on_first_use():
                             "assert not hasattr(liequant, 'no_such_module')")
     assert {"liequant.su2reps", "liequant.fock"} <= loaded
     assert not {"liequant.fermion", "liequant.poisson", "liequant.thermal", "liequant.cli"} & loaded
+
+
+def reference_jdump(obj) -> str:
+    """json's indented encoder, which the join-based ``cli._jdump`` must match byte for byte."""
+    def default(o):
+        if isinstance(o, complex):
+            return [o.real, o.imag]
+        if isinstance(o, (np.ndarray, np.integer)):
+            return o.tolist()
+        raise TypeError(f"not serializable: {type(o)}")
+    return json.dumps(obj, indent=2, default=default) + "\n"
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def cli_round_jobs(seeds, workdir):
+    """The ``liequant`` argvs and input files of the benchmark's cli rounds."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(job.payload, job.files) for seed in seeds
+            for job in workloads.cli_round(np.random.default_rng(seed), workdir)]
+
+
+class TestJsonWriter:
+    def test_bytes_match_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        real = st.one_of(st.floats(), st.sampled_from((0.0, -0.0, math.nan, math.inf, -math.inf)))
+        number = st.one_of(st.integers(-10**20, 10**20), real,
+                           st.builds(complex, real, real), st.complex_numbers())
+        leaf = st.one_of(number, st.booleans(), st.none(), st.text(max_size=3))
+        # lists of one number type, and rows of them, take the writer's joined path
+        rows = st.one_of(*(st.lists(st.lists(kind, min_size=1, max_size=3), max_size=3)
+                           for kind in (st.integers(), real, st.complex_numbers())))
+        flat = st.one_of(*(st.lists(kind, max_size=4)
+                           for kind in (st.integers(), real, st.complex_numbers())))
+        tree = st.recursive(st.one_of(leaf, flat, rows), lambda inner: st.one_of(
+            st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+            max_leaves=20)
+
+        @hypothesis.settings(max_examples=200, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(tree)
+        def check(obj):
+            assert cli._jdump(obj) == reference_jdump(obj)
+
+        check()
+
+    def test_numpy_values(self):
+        obj = {"a": np.arange(3), "b": np.int64(7), "c": np.float64(0.1), "d": np.eye(2),
+               "e": np.array([1 + 2j, np.nan]), "f": (1, [2.5, np.float64(-0.0)]), "g": []}
+        assert cli._jdump(obj) == reference_jdump(obj)
+
+    def test_cli_runs_print_the_reference_bytes(self, tmp_path, monkeypatch):
+        """Every README argv and the benchmark's cli rounds of seeds 1-40."""
+        if not (README.is_file() and PERFBENCH.is_dir()):
+            pytest.skip("README.md and perfbench/ are not beside the source tree")
+        fast, written = cli._jdump, []
+
+        def compare(obj):
+            text = fast(obj)
+            assert text == reference_jdump(obj)
+            written.append(text)
+            return text
+
+        monkeypatch.setattr(cli, "_jdump", compare)
+        monkeypatch.chdir(tmp_path)
+        readme_files = {name: CAP_FILES[name] for name in ("lines.csv", "init.json")}
+        jobs = [(argv, readme_files) for argv in README_ARGVS]
+        for argv, files in jobs + cli_round_jobs(range(1, 41), str(tmp_path)):
+            for name, text in files.items():
+                (tmp_path / name).write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(list(argv)) == 0, argv
+        assert len(written) >= 500

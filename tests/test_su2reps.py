@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from liequant.errors import DomainError
+from liequant.errors import MAX_DIM, DomainError
 from liequant.liealg import builtin_algebra
 from liequant.matrixcore import commutator, expm, is_unitary
 from liequant.su2reps import (
@@ -19,6 +19,51 @@ from liequant.su2reps import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def racah_table(twok, twol):
+    """Condon-Shortley coefficients from Racah's formula, exact until the last sqrt.
+
+    Rows are |k m1> (x) |l m2> with m1, m2 descending; columns run over
+    j = k+l .. |k-l| and m = j .. -j, the isometry's order.  In twice-spin
+    integers every factorial argument below is an integer.
+    """
+    f = [math.factorial(n) for n in range(twok + twol + 2)]
+    table = np.zeros(((twok + 1) * (twol + 1),) * 2)
+    col = 0
+    for twoj in range(twok + twol, abs(twok - twol) - 1, -2):
+        a, b, c = (twoj + twok - twol) // 2, (twoj - twok + twol) // 2, (twok + twol - twoj) // 2
+        pre = Fraction((twoj + 1) * f[a] * f[b] * f[c], f[(twok + twol + twoj) // 2 + 1])
+        for twom in range(twoj, -twoj - 1, -2):
+            for i in range(twok + 1):
+                t1, t2 = twok - 2 * i, twom - twok + 2 * i  # m1 = k - i, m2 = m - m1
+                if abs(t2) > twol or (twol - t2) % 2:
+                    continue
+                p, q = (twok - t1) // 2, (twol + t2) // 2
+                r, t = (twoj - twol + t1) // 2, (twoj - twok - t2) // 2
+                total = sum(Fraction((-1) ** z, f[z] * f[c - z] * f[p - z] * f[q - z]
+                                     * f[r + z] * f[t + z])
+                            for z in range(max(0, -r, -t), min(c, p, q) + 1))
+                square = pre * total * total * (f[(twoj + twom) // 2] * f[(twoj - twom) // 2] * f[p]
+                                                 * f[(twok + t1) // 2] * f[(twol - t2) // 2] * f[q])
+                table[i * (twol + 1) + (twol - t2) // 2, col] = math.copysign(
+                    math.sqrt(square), total)
+            col += 1
+    return table
+
+
+def coupled_operators(twok, twol):
+    """t3 and J^2 of D_k (x) D_l as dense real matrices, from Kronecker products."""
+    rk, rl = build_irrep(Fraction(twok, 2)), build_irrep(Fraction(twol, 2))
+    t3 = np.kron(rk.t3.real, np.eye(rl.dim)) + np.kron(np.eye(rk.dim), rl.t3.real)
+    lp = np.kron(rk.lplus.real, np.eye(rl.dim)) + np.kron(np.eye(rk.dim), rl.lplus.real)
+    return t3, lp @ lp.T - t3 + t3 @ t3
+
+
+def coupled_labels(twok, twol):
+    """(j, m) of each isometry column, in its order."""
+    return [(twoj / 2, twoj / 2 - i) for twoj in range(twok + twol, abs(twok - twol) - 1, -2)
+            for i in range(twoj + 1)]
 
 
 def ladder_entry_by_hand(j, m):
@@ -157,6 +202,66 @@ class TestClebschGordan:
         ref = np.array([[float(cg_module.CG(k, m1, l, m2, j, m).doit()) for j, m in coupled]
                         for m1, m2 in product])
         assert np.max(np.abs(iso - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("twok, twol", [(29, 29), (59, 13), (449, 1)])
+    def test_cap_cases_against_racah(self, twok, twol):
+        assert (twok + 1) * (twol + 1) <= MAX_DIM
+        _, iso = clebsch_gordan(Fraction(twok, 2), Fraction(twol, 2))
+        assert iso.dtype == complex and not iso.imag.any()
+        assert np.abs(iso.real - racah_table(twok, twol)).max() <= 1e-10
+        assert np.abs(iso.real.T @ iso.real - np.eye(len(iso))).max() <= 1e-10
+
+    def test_racah_table_matches_sympy(self):
+        cg_module = pytest.importorskip("sympy.physics.quantum.cg")
+        for twok, twol in ((1, 1), (2, 1), (3, 4)):
+            k, l = Fraction(twok, 2), Fraction(twol, 2)
+            product = [(k - a, l - b) for a in range(twok + 1) for b in range(twol + 1)]
+            ref = [[float(cg_module.CG(k, m1, l, m2, Fraction(j), Fraction(m)).doit())
+                    for j, m in coupled_labels(twok, twol)] for m1, m2 in product]
+            assert np.abs(racah_table(twok, twol) - ref).max() <= 1e-15
+
+    def test_isometry_property(self):
+        """Unitary, and t3 and J^2 diagonal with the block labels, up to MAX_DIM."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        pairs = st.integers(0, MAX_DIM - 1).flatmap(
+            lambda twok: st.tuples(st.just(twok), st.integers(0, MAX_DIM // (twok + 1) - 1)))
+
+        @hypothesis.settings(max_examples=25, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(pairs)
+        def check(pair):
+            twok, twol = pair
+            _, iso = clebsch_gordan(Fraction(twok, 2), Fraction(twol, 2))
+            assert not iso.imag.any()
+            u = iso.real
+            assert np.abs(u.T @ u - np.eye(len(u))).max() <= 1e-10
+            j, m = np.array(coupled_labels(twok, twol)).T
+            t3, jsq = coupled_operators(twok, twol)
+            # the tolerance scales with the largest eigenvalue, as the rounding of U* op U does
+            for op, want in ((t3, m), (jsq, j * (j + 1))):
+                moved = u.T @ op @ u - np.diag(want)
+                assert np.abs(moved).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+        check()
+
+    def test_no_svd_and_no_dense_ladder(self, monkeypatch):
+        from liequant import su2reps
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense linear algebra in clebsch_gordan")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        assert not hasattr(su2reps, "kron_embed")
+        for twok, twol in ((0, 0), (1, 1), (6, 5), (29, 29), (449, 1)):
+            clebsch_gordan(Fraction(twok, 2), Fraction(twol, 2))
+
+    def test_collapse_check_is_live(self, monkeypatch):
+        # with every ladder number zero, the first lowering step gives the zero vector
+        from liequant import su2reps
+        monkeypatch.setattr(su2reps, "_raising", lambda twoj: np.zeros(twoj))
+        with pytest.raises(DomainError, match="cascade_collapse"):
+            clebsch_gordan(0, 1)
 
     def test_no_eigensolves(self, monkeypatch):
         # top states come from the kernel of L+, not from a Casimir eigensolve
