@@ -99,8 +99,8 @@ def _json_array(path: str, key: str, max_rows=math.inf) -> np.ndarray:
             value = json.load(fh, parse_int=float)[key]  # a huge integer is inf, as 1e400
             if not (isinstance(value, list) and len(value) > max_rows):
                 array = np.array(value, dtype=float)
-                if bool in set(map(type, np.array(value, dtype=object).flat)):
-                    raise ValueError("true and false are not numbers")
+                if set(map(type, np.array(value, dtype=object).flat)) - {float}:
+                    raise ValueError("strings, true, false and null are not numbers")
                 return array
         except (ValueError, KeyError, TypeError) as err:
             raise DomainError("bad_input", f"{path}: no numeric field {key!r}") from err

@@ -213,11 +213,14 @@ class RigidBodyState:
 
     @property
     def energy(self) -> float:
-        return 0.5 * sum(j * j / i for j, i in zip(self.J, self.I))
+        # left to right, as trajectory_csv sums; sum() compensates from Python 3.12 on
+        (a, b, c), (i1, i2, i3) = self.J, self.I
+        return 0.5 * (a * a / i1 + b * b / i2 + c * c / i3)
 
     @property
     def j_squared(self) -> float:
-        return sum(j * j for j in self.J)
+        a, b, c = self.J
+        return a * a + b * b + c * c
 
 
 def _cross(a, b):
@@ -305,12 +308,14 @@ def trajectory_csv(trajectory) -> str:
         rows = (row + trajectory.inertia for row in trajectory.rows)
     else:
         rows = ((s.t, *s.J, *s.I) for s in trajectory)
-    lines = ["t,J1,J2,J3,E,Jsq\n"]
+    cells = []
     for t, a, b, c, i1, i2, i3 in rows:
-        # sum() as in RigidBodyState.energy and .j_squared, so the bits agree
-        energy = 0.5 * sum((a * a / i1, b * b / i2, c * c / i3))
-        j_squared = sum((a * a, b * b, c * c))
+        aa, bb, cc = a * a, b * b, c * c
+        # the operation order of RigidBodyState.energy and .j_squared, so the bits agree
+        energy = 0.5 * (aa / i1 + bb / i2 + cc / i3)
+        j_squared = aa + bb + cc
         if not (math.isfinite(energy) and math.isfinite(j_squared)):
             raise DomainError("not_finite", "E or J^2 leaves the float range")
-        lines.append(f"{t:.17g},{a:.17g},{b:.17g},{c:.17g},{energy:.17g},{j_squared:.17g}\n")
-    return "".join(lines)
+        cells += (t, a, b, c, energy, j_squared)
+    line = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+    return "t,J1,J2,J3,E,Jsq\n" + line * (len(cells) // 6) % tuple(cells)

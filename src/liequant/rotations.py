@@ -4,7 +4,10 @@ axis extraction, and the two-to-one covering map with its kernel."""
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -24,8 +27,6 @@ __all__ = [
     "haar_su2",
 ]
 
-_EYE3 = np.eye(3)
-
 
 def _su2_product(x1, y1, x2, y2):
     """(x, y) of U(x1, y1) U(x2, y2), for complex scalars or arrays of one shape."""
@@ -43,14 +44,26 @@ def _cover(x, y) -> np.ndarray:
     ]).T
 
 
+def _every(flags: list) -> bool:
+    """True if every flag holds: plain bools, or bool arrays of one shape."""
+    if isinstance(flags[0], bool):
+        return all(flags)
+    return bool(reduce(operator.and_, flags).all())
+
+
 def _check_so3(m: np.ndarray, shape: tuple = (3, 3)) -> np.ndarray:
     """Return m if each 3x3 matrix in it passes is_special_orthogonal(., Tolerance(1e-9, 0))."""
     if m.shape != shape:
         raise DomainError("shape", "rotation must be 3x3")
+    # nine Python floats for one matrix, nine length-n arrays for a stack
+    (a, b, c), (d, e, f), (g, h, i) = m.tolist() if m.ndim == 2 else m.transpose(1, 2, 0)
     # a rotation has no entry above 1, and the bound keeps m^T m and det m finite
-    if np.count_nonzero(abs(m) <= 2.0) < m.size \
-            or np.count_nonzero(abs(m.swapaxes(-1, -2) @ m - _EYE3) > 1e-9) \
-            or np.count_nonzero(abs(np.linalg.det(m) - 1.0) > 1e-9):
+    if not (_every([abs(x) <= 2.0 for x in (a, b, c, d, e, f, g, h, i)])
+            and _every([abs(x) <= 1e-9 for x in (
+                a * a + d * d + g * g - 1.0, b * b + e * e + h * h - 1.0,
+                c * c + f * f + i * i - 1.0, a * b + d * e + g * h, a * c + d * f + g * i,
+                b * c + e * f + h * i,  # the entries of m^T m - 1 on and above the diagonal
+                a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) - 1.0)])):
         check_finite(m, "a rotation entry")  # a NaN or infinite entry is not_finite
         raise DomainError("not_rotation", "matrix is not special orthogonal")
     return m
@@ -99,10 +112,11 @@ def hat(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (3,):
         raise DomainError("shape", "expected a 3-vector")
+    w0, w1, w2 = w.tolist()
     return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
+        [0.0, -w2, w1],
+        [w2, 0.0, -w0],
+        [-w1, w0, 0.0],
     ])
 
 
@@ -141,49 +155,50 @@ def rodrigues(a) -> Rotation:
     with np.errstate(over="ignore", invalid="ignore"):
         theta = float(np.linalg.norm(a))
         x = hat(a)
+        x2 = (x @ x).ravel().tolist()  # numpy's bits for |a| and X(a)^2, Python floats below
         if theta < 1e-4:
             # series for sin t/t and (1-cos t)/t^2, exact enough below 1e-4
             t2 = theta * theta
             c1 = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
             c2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
         else:
-            c1 = np.sin(theta) / theta
-            c2 = (1.0 - np.cos(theta)) / (theta * theta)
-        m = np.eye(3) + c1 * x + c2 * (x @ x)
-    return Rotation(m)
+            c1 = float(np.sin(theta) / theta)
+            c2 = float((1.0 - np.cos(theta)) / (theta * theta))
+    eye = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    m = [e + c1 * u + c2 * v for e, u, v in zip(eye, x.ravel().tolist(), x2)]
+    return Rotation(np.reshape(m, (3, 3)))
 
 
-def _quaternion_from_matrix(m: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, qx, qy, qz) with the largest-diagonal branch."""
-    t = np.trace(m)
-    candidates = [t, m[0, 0], m[1, 1], m[2, 2]]
-    branch = int(np.argmax(candidates))
+def _quaternion_from_matrix(m: list) -> list:
+    """Unit quaternion [w, qx, qy, qz] of nested-list m, by the largest-diagonal branch."""
+    t = m[0][0] + m[1][1] + m[2][2]
+    candidates = [t, m[0][0], m[1][1], m[2][2]]
+    branch = candidates.index(max(candidates))
     if branch == 0:
-        r = np.sqrt(1.0 + t)
-        w = 0.5 * r
+        r = math.sqrt(1.0 + t)
         f = 0.5 / r
-        q = np.array([w, (m[2, 1] - m[1, 2]) * f, (m[0, 2] - m[2, 0]) * f,
-                      (m[1, 0] - m[0, 1]) * f])
+        q = [0.5 * r, (m[2][1] - m[1][2]) * f, (m[0][2] - m[2][0]) * f,
+             (m[1][0] - m[0][1]) * f]
     else:
         i = branch - 1
         j, k = (i + 1) % 3, (i + 2) % 3
-        r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        r = math.sqrt(1.0 + m[i][i] - m[j][j] - m[k][k])
         f = 0.5 / r
-        q = np.zeros(4)
+        q = [0.0] * 4
         q[1 + i] = 0.5 * r
-        q[0] = (m[k, j] - m[j, k]) * f
-        q[1 + j] = (m[j, i] + m[i, j]) * f
-        q[1 + k] = (m[k, i] + m[i, k]) * f
-    return q / np.linalg.norm(q)
+        q[0] = (m[k][j] - m[j][k]) * f
+        q[1 + j] = (m[j][i] + m[i][j]) * f
+        q[1 + k] = (m[k][i] + m[i][k]) * f
+    norm = float(np.linalg.norm(q))  # its sum of squares has numpy's bits, not Python's
+    return [v / norm for v in q]
 
 
 def rotation_axis(r: Rotation):
     """Unit eigenvector with eigenvalue 1, or the token ``"identity"``."""
-    m = r.m
-    if np.max(np.abs(m - np.eye(3))) <= 1e-12:
+    m = r.m.tolist()
+    if max(abs(m[i][j] - (i == j)) for i in range(3) for j in range(3)) <= 1e-12:
         return "identity"
-    q = _quaternion_from_matrix(m)
-    vec = q[1:]
+    vec = np.array(_quaternion_from_matrix(m)[1:])
     norm = np.linalg.norm(vec)
     if norm <= 1e-12:
         return "identity"
@@ -196,17 +211,16 @@ def euler_zyz(r: Rotation):
     beta lies in [0, pi]; at gimbal lock (beta in {0, pi}) gamma is set
     to zero and the whole z-rotation is folded into alpha.
     """
-    m = r.m
-    sb = float(np.hypot(m[0, 2], m[1, 2]))
-    beta = float(np.arctan2(sb, m[2, 2]))
+    # np.hypot and np.arctan2, whose last bits differ from math.hypot and math.atan2
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = r.m.tolist()
+    sb = float(np.hypot(m02, m12))
+    beta = float(np.arctan2(sb, m22))
     if sb > 1e-12:
-        alpha = float(np.arctan2(m[1, 2], m[0, 2]))
-        gamma = float(np.arctan2(m[2, 1], -m[2, 0]))
-        return alpha, beta, gamma
-    if m[2, 2] > 0.0:  # beta = 0: R = Rz(alpha + gamma)
-        return float(np.arctan2(m[1, 0], m[0, 0])), 0.0, 0.0
+        return float(np.arctan2(m12, m02)), beta, float(np.arctan2(m21, -m20))
+    if m22 > 0.0:  # beta = 0: R = Rz(alpha + gamma)
+        return float(np.arctan2(m10, m00)), 0.0, 0.0
     # beta = pi: R = Rz(alpha) Ry(pi), first row (-cos a, -sin a, 0)
-    return float(np.arctan2(-m[0, 1], -m[0, 0])), float(np.pi), 0.0
+    return float(np.arctan2(-m01, -m00)), float(np.pi), 0.0
 
 
 def covering_map(u: SU2Element) -> Rotation:
@@ -233,11 +247,9 @@ def lift_to_su2(r: Rotation) -> SU2Element:
     Of the two preimages +-U the one with Re(x) > 0 is returned,
     tie-broken by Im(x) > 0, then Re(y) > 0, then Im(y) >= 0.
     """
-    q = _quaternion_from_matrix(r.m)
-    x = complex(q[0], -q[3])
-    y = complex(-q[2], -q[1])
-    x, y = _normalize_sign(x, y)
-    norm = np.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    q = _quaternion_from_matrix(r.m.tolist())
+    x, y = _normalize_sign(complex(q[0], -q[3]), complex(-q[2], -q[1]))
+    norm = math.sqrt(abs(x) ** 2 + abs(y) ** 2)
     return SU2Element(x / norm, y / norm)
 
 

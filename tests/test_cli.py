@@ -458,6 +458,11 @@ class TestBadInput:
         *(({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1]}'},
            ("assign", "--data", "d.csv", "--levels", "l.json", option, str(cap + 1)), "size_cap")
           for option, cap in (("--starts", MAX_ASSIGN_STARTS), ("--max-iters", MAX_ASSIGN_ITERS))),
+        # JSON strings are not numbers: numpy read "1" and " 1e0 " as 1.0, and these exited 0
+        ({"m.json": json.dumps({"matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]})},
+         ("euler", "--in", "m.json"), "bad_input"),
+        ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": ["0", " 1e0 "]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -728,11 +733,11 @@ def test_contract_property(command, required, optional, tmp_path):
     values = {"--axis": st.sampled_from(("x", "y", "z")), "--name": name,
               **dict.fromkeys(("--j", "--k", "--l"), spin)}
     # JSON files: the field as numbers of the right shape, or as nested lists of
-    # numbers, NaN, Infinity, huge integers, strings, booleans and null; or a
-    # document of another shape, or text that does not parse
+    # numbers, NaN, Infinity, huge integers, strings (numerals among them),
+    # booleans and null; or a document of another shape, or text that does not parse
     real = number.map(float)
     leaf = st.one_of(real, st.integers(-2, 60), st.just(10**400), st.booleans(), st.none(),
-                     st.text(max_size=2))
+                     st.text(max_size=2), number)
     nested = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3), max_leaves=10)
     square = st.integers(0, 4).flatmap(
         lambda n: st.lists(st.lists(real, min_size=n, max_size=n), min_size=n, max_size=n))
@@ -747,8 +752,11 @@ def test_contract_property(command, required, optional, tmp_path):
     field = st.one_of(number, st.sampled_from(("", "x", "1e400")))
     rows = st.integers(0, 3).flatmap(
         lambda k: st.lists(st.lists(field, min_size=k, max_size=k).map(",".join), max_size=4))
-    files = {"matrix": json_file("matrix", st.one_of(square, turns)),
-             "levels": json_file("levels", st.lists(real, max_size=5)),
+    # rotations and levels written as numeral strings, such as "1" and "-1e308"
+    quoted = turns.map(lambda m: [[str(v) for v in row] for row in m])
+    files = {"matrix": json_file("matrix", st.one_of(square, turns, quoted)),
+             "levels": json_file("levels", st.one_of(st.lists(real, max_size=5),
+                                                     st.lists(number, min_size=1, max_size=5))),
              "lines": rows.map(lambda lines: "omega,weight\n" + "".join(f"{l}\n" for l in lines))}
 
     @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None,

@@ -206,6 +206,14 @@ class TestTrajectoryAccess:
         with pytest.raises(DomainError, match="not_finite"):
             trajectory_csv(traj)
 
+    def test_not_finite_energy_on_a_middle_state(self):
+        # a list of states, each finite, whose middle E = J^2 / (2 I) overflows
+        ok = RigidBodyState((1.0, 0.5, 0.2), (1.0, 2.0, 3.0))
+        states = [ok, RigidBodyState((1e5, 0.0, 0.0), (1e-300, 1.0, 1.0), 1.0), ok]
+        with pytest.raises(DomainError, match="not_finite"):
+            trajectory_csv(states)
+        assert trajectory_csv(states[::2]).count("\n") == 3
+
 
 # ---------------------------------------------------------------------------
 # Test-only oracles: the per-step RK4, CSV writer and _add_term arithmetic

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from liequant.errors import DomainError
+from liequant.errors import DomainError, check_finite
 from liequant.matrixcore import Tolerance, expm, is_special_orthogonal
 from liequant.rotations import (
     Rotation,
@@ -20,7 +20,8 @@ from liequant.rotations import (
     rotation_axis,
     vee,
 )
-from liequant.rotations import _check_so3, _cover, _su2_product
+from liequant.rotations import (
+    _check_so3, _cover, _normalize_sign, _quaternion_from_matrix, _su2_product)
 
 
 class TestHatVee:
@@ -455,3 +456,222 @@ class TestDoubleCoverProperties:
                 u = haar_su2(rng)
                 assert abs(x - u.x) <= 1e-15 and abs(y - u.y) <= 1e-15
         for_all(check, examples=50)
+
+
+# ---------------------------------------------------------------------------
+# Test-only oracles: the numpy bodies of the SO(3) check and of the matrix
+# readers that the entry formulas on Python floats replaced.  Each is run in
+# the same process as the code under test, never against stored numbers, since
+# the bits of numpy's arctan2 and hypot differ between numpy versions.
+
+
+def reference_check_so3(m, shape=(3, 3)):
+    if m.shape != shape:
+        raise DomainError("shape", "rotation must be 3x3")
+    if np.count_nonzero(abs(m) <= 2.0) < m.size \
+            or np.count_nonzero(abs(m.swapaxes(-1, -2) @ m - np.eye(3)) > 1e-9) \
+            or np.count_nonzero(abs(np.linalg.det(m) - 1.0) > 1e-9):
+        check_finite(m, "a rotation entry")
+        raise DomainError("not_rotation", "matrix is not special orthogonal")
+    return m
+
+
+def reference_quaternion(m):
+    t = np.trace(m)
+    candidates = [t, m[0, 0], m[1, 1], m[2, 2]]
+    branch = int(np.argmax(candidates))
+    if branch == 0:
+        r = np.sqrt(1.0 + t)
+        w = 0.5 * r
+        f = 0.5 / r
+        q = np.array([w, (m[2, 1] - m[1, 2]) * f, (m[0, 2] - m[2, 0]) * f,
+                      (m[1, 0] - m[0, 1]) * f])
+    else:
+        i = branch - 1
+        j, k = (i + 1) % 3, (i + 2) % 3
+        r = np.sqrt(1.0 + m[i, i] - m[j, j] - m[k, k])
+        f = 0.5 / r
+        q = np.zeros(4)
+        q[1 + i] = 0.5 * r
+        q[0] = (m[k, j] - m[j, k]) * f
+        q[1 + j] = (m[j, i] + m[i, j]) * f
+        q[1 + k] = (m[k, i] + m[i, k]) * f
+    return q / np.linalg.norm(q)
+
+
+def reference_axis(m):
+    if np.max(np.abs(m - np.eye(3))) <= 1e-12:
+        return "identity"
+    vec = reference_quaternion(m)[1:]
+    norm = np.linalg.norm(vec)
+    if norm <= 1e-12:
+        return "identity"
+    return vec / norm
+
+
+def reference_euler(m):
+    sb = float(np.hypot(m[0, 2], m[1, 2]))
+    beta = float(np.arctan2(sb, m[2, 2]))
+    if sb > 1e-12:
+        alpha = float(np.arctan2(m[1, 2], m[0, 2]))
+        gamma = float(np.arctan2(m[2, 1], -m[2, 0]))
+        return alpha, beta, gamma
+    if m[2, 2] > 0.0:
+        return float(np.arctan2(m[1, 0], m[0, 0])), 0.0, 0.0
+    return float(np.arctan2(-m[0, 1], -m[0, 0])), float(np.pi), 0.0
+
+
+def reference_lift(m):
+    q = reference_quaternion(m)
+    x, y = _normalize_sign(complex(q[0], -q[3]), complex(-q[2], -q[1]))
+    norm = np.sqrt(abs(x) ** 2 + abs(y) ** 2)
+    return x / norm, y / norm
+
+
+def reference_rodrigues(a):
+    a = np.asarray(a, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = float(np.linalg.norm(a))
+        x = hat(a)
+        if theta < 1e-4:
+            t2 = theta * theta
+            c1 = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
+            c2 = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
+        else:
+            c1 = np.sin(theta) / theta
+            c2 = (1.0 - np.cos(theta)) / (theta * theta)
+        return np.eye(3) + c1 * x + c2 * (x @ x)
+
+
+def check_token(check, m, shape=(3, 3)):
+    """The token ``check`` raises on m, or None; a numpy warning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            assert check(m, shape) is m
+        except DomainError as err:
+            return err.token
+    return None
+
+
+def bits(value):
+    """The bytes of a float, complex, tuple or array, or a token as it is."""
+    return value if isinstance(value, str) else np.asarray(value).tobytes()
+
+
+def readers_match(m):
+    """Every reader of Rotation(m) gives the bits of its oracle."""
+    r = Rotation(m)
+    lifted = lift_to_su2(r)
+    return (bits(_quaternion_from_matrix(r.m.tolist())) == bits(reference_quaternion(r.m))
+            and bits(rotation_axis(r)) == bits(reference_axis(r.m))
+            and bits(euler_zyz(r)) == bits(reference_euler(r.m))
+            and bits((lifted.x, lifted.y)) == bits(reference_lift(r.m)))
+
+
+EDGE_ANGLES = (0.0, 1e-13, 1e-9, np.pi - 1e-9, np.pi)
+
+
+def edge_rotations():
+    """Elementary rotations and Rodrigues rotations at the edge angles, and gimbal lock."""
+    for axis in "xyz":
+        for angle in EDGE_ANGLES:
+            yield elementary(axis, angle).m
+            yield elementary(axis, -angle).m
+    for direction in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0],
+                      [1.0, -2.0, 0.5]):
+        unit = np.array(direction) / np.linalg.norm(direction)
+        for angle in EDGE_ANGLES:
+            yield rodrigues(angle * unit).m
+            yield rodrigues(-angle * unit).m
+    for beta in (0.0, 1e-13, np.pi - 1e-13, np.pi):  # Rz Ry(beta) Rz at and near gimbal lock
+        for alpha in (0.0, 0.7, -2.9, np.pi):
+            for gamma in (0.0, 1.3, -np.pi):
+                yield (elementary("z", alpha) @ elementary("y", beta) @ elementary("z", gamma)).m
+
+
+def oracle_matrices():
+    """Seeded Haar rotations, edge rotations, reflections and the boundary matrices."""
+    rng = np.random.default_rng(2025)
+    haar = [covering_map(haar_su2(rng)).m for _ in range(300)]
+    edges = list(edge_rotations())
+    reflections = [sign * q @ np.diag(d) for q in haar[:50] + edges
+                   for sign, d in ((-1.0, [1.0, 1.0, 1.0]), (1.0, [1.0, -1.0, 1.0]))]
+    boundary = list(TestRotationCheck.boundary_matrices(np.random.default_rng(2024)))
+    return haar + edges + reflections + boundary
+
+
+class TestAgainstNumpyBodies:
+    """The check and the readers on Python floats against the numpy code they replaced."""
+
+    def test_check_tokens_match(self):
+        matrices = oracle_matrices()
+        tokens = [check_token(_check_so3, m) for m in matrices]
+        assert tokens == [check_token(reference_check_so3, m) for m in matrices]
+        assert set(tokens) == {None, "not_rotation"}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308, -3.0, 2.0 + 1e-15])
+    def test_bad_entry_tokens_match(self, bad):
+        for i in range(9):
+            m = np.eye(3).ravel()
+            m[i] = bad
+            m = m.reshape(3, 3)
+            assert check_token(_check_so3, m) == check_token(reference_check_so3, m) is not None
+
+    def test_stack_tokens_match(self):
+        """A stack passes only if each matrix does, with no warning from a bad entry."""
+        matrices = oracle_matrices()
+        good = np.array([m for m in matrices if check_token(reference_check_so3, m) is None])
+        n = len(good)
+        assert check_token(_check_so3, good, (n, 3, 3)) is None
+        for bad in (matrices[-1], np.diag([1.0, np.inf, 1.0]), np.full((3, 3), np.nan),
+                    np.diag([1e308, 1.0, 1.0]), 1.5 * np.eye(3)):
+            stack = good.copy()
+            stack[n // 2] = bad
+            token = check_token(reference_check_so3, stack, (n, 3, 3))
+            assert token is not None and check_token(_check_so3, stack, (n, 3, 3)) == token
+        assert check_token(_check_so3, good, (n + 1, 3, 3)) == "shape"
+
+    def test_readers_match(self):
+        passing = [m for m in oracle_matrices() if check_token(reference_check_so3, m) is None]
+        assert len(passing) > 400
+        assert all(readers_match(m) for m in passing)
+
+    def test_rodrigues_matches(self):
+        rng = np.random.default_rng(2026)
+        vectors = [a * rng.uniform(0.0, 10.0) / np.linalg.norm(a)
+                   for a in rng.standard_normal((300, 3))]
+        vectors += [a * 1e-5 for a in rng.standard_normal((50, 3))]  # the series branch
+        for direction in ([1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [1.0, -2.0, 0.5]):
+            vectors += [angle * np.array(direction) / np.linalg.norm(direction)
+                        for angle in EDGE_ANGLES + (1e-4, 2 * np.pi)]
+        assert all(bits(rodrigues(a).m) == bits(reference_rodrigues(a)) for a in vectors)
+
+    def test_property(self):
+        """Rotations of drawn SU(2) elements, flipped or with one entry nudged."""
+        def check(draw, st):
+            m = covering_map(element(draw(su2_vectors(st)))).m.copy()
+            m[draw(st.integers(0, 2))] *= draw(st.sampled_from((1.0, -1.0)))
+            m[draw(st.integers(0, 2)), draw(st.integers(0, 2))] += draw(st.one_of(
+                st.just(0.0), st.floats(-2e-9, 2e-9), st.floats(-3.0, 3.0),
+                st.sampled_from((np.nan, np.inf, 1e308))))
+            token = check_token(_check_so3, m)
+            assert token == check_token(reference_check_so3, m)
+            assert token is not None or readers_match(m)
+        for_all(check)
+
+    def test_no_det_or_count_nonzero(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the SO(3) check called det or count_nonzero")
+
+        monkeypatch.setattr(np.linalg, "det", refuse)
+        monkeypatch.setattr(np, "count_nonzero", refuse)
+        rng = np.random.default_rng(14)
+        u = haar_su2(rng)
+        r = covering_map(lift_to_su2(covering_map(u)))
+        assert (r @ elementary("y", 0.4) @ rodrigues([0.3, -1.1, 0.7])).m.shape == (3, 3)
+        assert Rotation(np.eye(3)).m.shape == (3, 3)
+        stack = np.array([r.m, np.eye(3)])
+        assert _check_so3(stack, (2, 3, 3)) is stack
+        with pytest.raises(DomainError, match="not_rotation"):
+            Rotation(np.diag([1.0, 1.0, -1.0]))
