@@ -37,7 +37,8 @@ def _json(o, nl: str) -> str:
     if isinstance(o, complex):
         o = [o.real, o.imag]
     elif isinstance(o, (np.ndarray, np.integer)):
-        o = o.tolist()
+        # a complex entry as [re, im], as a complex number is written
+        o = (np.stack((o.real, o.imag), axis=-1) if np.iscomplexobj(o) else o).tolist()
     if not isinstance(o, (list, tuple, dict)) or not o:
         return json.dumps(o)  # a number, str, bool, None, [] or {}
     inner = nl + "  "
@@ -228,7 +229,7 @@ def _cmd_coherent(args) -> str:
     from . import fock
     state = fock.CoherentState(complex(*args.lam), complex(*args.z), args.dim)
     norm = fock.coherent_inner(state, state, args.hbar)
-    out = {"coeffs": [complex(v) for v in state.coeffs], "norm_squared": norm}
+    out = {"coeffs": state.coeffs, "norm_squared": norm}
     if args.evolve:
         omega, t = args.evolve
         out["evolved_z"] = complex(fock.evolve_coherent(state, omega, t).z)
@@ -276,8 +277,8 @@ def _cmd_cg(args) -> str:
     out = {"k": args.k, "l": args.l,
            "summands": [{"j": j, "multiplicity": m} for j, m in summands],
            "dimension_check": int(sum(int(2 * j) + 1 for j, _ in summands))}
-    if args.full:  # each entry as [re, im], as _jdump writes a complex number
-        out["isometry"] = np.stack((iso.real, iso.imag), axis=-1).tolist()
+    if args.full:
+        out["isometry"] = iso
     return _jdump(out)
 
 
@@ -291,12 +292,9 @@ def _cmd_gibbs(args) -> str:
     else:
         raise DomainError("missing_input", "provide --levels or --in")
     state = thermal.GibbsState(h, args.beta)
-    return _jdump({
-        "beta": args.beta,
-        "partition_function": thermal.partition_function(h, args.beta),
-        "mean_energy": thermal.gibbs_value(state, h).real,
-        "entropy": thermal.entropy_value(state, kbar=1.0),
-    })
+    return _jdump({"beta": args.beta, "partition_function": state.z,
+                   "mean_energy": state.mean_energy,
+                   "entropy": thermal.entropy_value(state, kbar=1.0)})
 
 
 def _cmd_blackbody(args) -> str:

@@ -23,7 +23,6 @@ from .errors import MAX_LEVELS, DomainError, check_cap, check_finite, check_posi
 from .matrixcore import kron_embed
 
 __all__ = [
-    "HBAR_SI",
     "BosonFock",
     "build_fock",
     "tensor_modes",
@@ -36,9 +35,6 @@ __all__ = [
     "InfiniteVerdict",
     "build_highest_weight",
 ]
-
-# hbar = h / (2 pi) with h ~ 6.626e-34 J s
-HBAR_SI = 1.0545718e-34
 
 
 def _check_levels(dim: int, least: int, token: str, what: str) -> None:

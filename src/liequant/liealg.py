@@ -24,7 +24,6 @@ __all__ = [
     "LieAlgebraBasis",
     "MatrixRealization",
     "builtin_algebra",
-    "BUILTIN_NAMES",
     "verify_jacobi",
     "killing_form",
     "is_semisimple",
@@ -279,9 +278,6 @@ def _sp_basis(n: int):
             mats.append(m)
     return names, mats
 
-
-BUILTIN_NAMES = ("so3", "su2", "heisenberg_t3", "oscillator_os1",
-                 "gl(n)", "sl(n)", "so(p,q)", "sp(2n)")
 
 _PAREN = re.compile(r"^(gl|sl|sp|so)\(([0-9]+(?:,[0-9]+)?)\)$")
 

@@ -45,42 +45,40 @@ def _exactify(value):
     return value
 
 
+def _sum_terms(items) -> dict:
+    """Sum (exponent, coefficient) pairs in order, dropping the sums that are zero."""
+    terms = {}
+    for expo, coeff in items:
+        if expo in terms:
+            coeff = terms[expo] + coeff
+        if coeff == 0:
+            terms.pop(expo, None)
+        else:
+            terms[expo] = coeff
+    return terms
+
+
 class SparsePoly:
     """Sparse polynomial in ``nvars`` variables; zero coefficients are dropped."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
+        items = []
+        for expo, coeff in (terms or {}).items():
+            expo = tuple(expo)
+            if len(expo) != nvars or any(e < 0 for e in expo):
+                raise DomainError("bad_exponent", str(expo))
+            items.append((expo, _exactify(coeff)))
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for expo, coeff in terms.items():
-                self._add_term(tuple(expo), _exactify(coeff))
-
-    def _add_term(self, expo, coeff):
-        if len(expo) != self.nvars or any(e < 0 for e in expo):
-            raise DomainError("bad_exponent", str(expo))
-        new = self.terms.get(expo, 0) + coeff
-        if new == 0:
-            self.terms.pop(expo, None)
-        else:
-            self.terms[expo] = new
+        self.terms = _sum_terms(items)
 
     @classmethod
     def _summed(cls, nvars: int, items) -> "SparsePoly":
-        """Sum (exponent, coefficient) pairs in order as ``_add_term`` does, without
-        re-checking exponents that the arithmetic below made valid by construction."""
-        terms = {}
-        for expo, coeff in items:
-            if expo in terms:
-                coeff = terms[expo] + coeff
-            if coeff == 0:
-                terms.pop(expo, None)
-            else:
-                terms[expo] = coeff
+        """``_sum_terms(items)``, whose exponents the arithmetic below made valid."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = terms
+        out.terms = _sum_terms(items)
         return out
 
     def _check(self, other: "SparsePoly"):
@@ -213,25 +211,32 @@ class RigidBodyState:
 
     @property
     def energy(self) -> float:
-        # left to right, as trajectory_csv sums; sum() compensates from Python 3.12 on
-        (a, b, c), (i1, i2, i3) = self.J, self.I
-        return 0.5 * (a * a / i1 + b * b / i2 + c * c / i3)
+        return _invariants(*self.J, *self.I)[0]
 
     @property
     def j_squared(self) -> float:
-        a, b, c = self.J
-        return a * a + b * b + c * c
+        return _invariants(*self.J, *self.I)[1]
 
 
-def _cross(a, b):
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
+def _invariants(a, b, c, i1, i2, i3) -> tuple:
+    """(E, J^2) of J = (a, b, c) under principal inertia (i1, i2, i3)."""
+    aa, bb, cc = a * a, b * b, c * c
+    return 0.5 * (aa / i1 + bb / i2 + cc / i3), aa + bb + cc
+
+
+def _rhs(inertia):
+    """J x omega with omega = I^{-1} J, as a function of the components of J."""
+    i1, i2, i3 = inertia
+
+    def rhs(a, b, c):
+        w1, w2, w3 = a / i1, b / i2, c / i3
+        return b * w3 - c * w2, c * w1 - a * w3, a * w2 - b * w1
+    return rhs
 
 
 def euler_rhs(state: RigidBodyState) -> tuple:
     """dJ/dt = J x omega with omega = I^{-1} J componentwise."""
-    return _cross(state.J, state.omega)
+    return _rhs(state.I)(*state.J)
 
 
 class RigidBodyTrajectory(Sequence):
@@ -278,13 +283,7 @@ def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int) -> RigidBody
         raise DomainError("bad_steps", "steps must be nonnegative")
     if not math.isfinite(dt) or dt == 0:
         raise DomainError("bad_dt", "dt must be finite and nonzero")
-    i1, i2, i3 = s0.I
-    half, sixth, t0 = 0.5 * dt, dt / 6.0, s0.t
-
-    def rhs(a, b, c):  # J x omega, the operation order of _cross
-        w1, w2, w3 = a / i1, b / i2, c / i3
-        return b * w3 - c * w2, c * w1 - a * w3, a * w2 - b * w1
-
+    rhs, half, sixth, t0 = _rhs(s0.I), 0.5 * dt, dt / 6.0, s0.t
     a, b, c = s0.J
     rows = [(t0, a, b, c)]
     for k in range(1, steps + 1):
@@ -310,10 +309,7 @@ def trajectory_csv(trajectory) -> str:
         rows = ((s.t, *s.J, *s.I) for s in trajectory)
     cells = []
     for t, a, b, c, i1, i2, i3 in rows:
-        aa, bb, cc = a * a, b * b, c * c
-        # the operation order of RigidBodyState.energy and .j_squared, so the bits agree
-        energy = 0.5 * (aa / i1 + bb / i2 + cc / i3)
-        j_squared = aa + bb + cc
+        energy, j_squared = _invariants(a, b, c, i1, i2, i3)
         if not (math.isfinite(energy) and math.isfinite(j_squared)):
             raise DomainError("not_finite", "E or J^2 leaves the float range")
         cells += (t, a, b, c, energy, j_squared)

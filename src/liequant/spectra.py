@@ -37,7 +37,8 @@ RYDBERG_CONSTANT = 1.1e7  # 1/m
 
 @dataclass(frozen=True)
 class EnergyLevels:
-    """Ascending energy list with a unit tag; near-duplicates are merged."""
+    """Ascending energy list with a unit tag; a level within 1e-12 of the last kept
+    level, relative to the larger of their magnitudes, is merged into it."""
 
     values: np.ndarray
     unit: str = "J"
@@ -48,10 +49,10 @@ class EnergyLevels:
             raise DomainError("shape", "need a nonempty 1-d level list")
         vals = np.sort(vals)
         # sorted, so a NaN (last) or an infinite end makes the span non-finite too
-        span = float(finite(lambda: vals[-1] - vals[0], "the level span"))
+        finite(lambda: vals[-1] - vals[0], "the level span")
         merged = [vals[0]]
         for v in vals[1:]:
-            if v - merged[-1] > 1e-12 * max(span, 1e-300):
+            if v - merged[-1] > 1e-12 * max(abs(merged[-1]), abs(v)):
                 merged.append(v)
         object.__setattr__(self, "values", np.array(merged))
         object.__setattr__(self, "unit", unit)

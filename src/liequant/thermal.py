@@ -61,24 +61,6 @@ NATURAL_CONSTANTS = PhysicalConstants(kbar=1.0, hbar=1.0, c=1.0)
 AVOGADRO = 6.02214e23
 
 
-def _boltzmann_weights(w: np.ndarray, beta: float) -> np.ndarray:
-    """e^{-beta (E_n - E_0)} for ascending levels E_n, each beta E_n within the float range."""
-    if not math.isfinite(beta * (abs(float(w[0])) + abs(float(w[-1])))):
-        raise DomainError("range", "beta times an energy leaves the float range")
-    return np.exp(-beta * (w - w[0]))
-
-
-def partition_function(h, beta: float) -> float:
-    """Z = tr e^{-beta H} = sum_n e^{-beta E_n}, min-shifted for stability."""
-    check_positive(beta, "bad_beta", "beta")
-    w, _ = eig_hermitian(h)
-    weights = _boltzmann_weights(w, beta)
-    # deep tails merely underflow; only e^{-beta E_min} can overflow
-    if -beta * w[0] > _EXP_GUARD:
-        raise DomainError("range", "ground-state weight overflows")
-    return float(np.sum(weights) * math.exp(-beta * w[0]))
-
-
 class GibbsState:
     """Canonical state <g> = tr(e^{-beta H} g)/Z for Hermitian H."""
 
@@ -87,10 +69,25 @@ class GibbsState:
         self.h = as_square(h, "H")
         self.beta = float(beta)
         self._w, self._v = eig_hermitian(self.h)
-        weights = _boltzmann_weights(self._w, self.beta)
-        total = np.sum(weights)
-        self._probs = weights / total
-        self.log_z = -self.beta * self._w[0] + math.log(total)
+        w = self._w
+        if not math.isfinite(self.beta * (abs(float(w[0])) + abs(float(w[-1])))):
+            raise DomainError("range", "beta times an energy leaves the float range")
+        weights = np.exp(-self.beta * (w - w[0]))  # e^{-beta (E_n - E_0)}, ascending levels
+        self._total = np.sum(weights)
+        self._probs = weights / self._total
+        self.log_z = -self.beta * w[0] + math.log(self._total)
+
+    @property
+    def z(self) -> float:
+        """Z; the deep tail merely underflows, and only e^{-beta E_0} > e^700 raises ``range``."""
+        if -self.beta * self._w[0] > _EXP_GUARD:
+            raise DomainError("range", "ground-state weight overflows")
+        return float(self._total * math.exp(-self.beta * self._w[0]))
+
+    @cached_property
+    def mean_energy(self) -> float:
+        """<H> = tr(rho H), which ``entropy_value`` and ``liequant gibbs`` read."""
+        return self.value(self.h).real
 
     @cached_property
     def rho(self) -> np.ndarray:
@@ -104,6 +101,11 @@ class GibbsState:
         return complex(np.sum(self._probs * np.diag(gt)))
 
 
+def partition_function(h, beta: float) -> float:
+    """Z = tr e^{-beta H} = sum_n e^{-beta E_n}, min-shifted for stability."""
+    return GibbsState(h, beta).z
+
+
 def gibbs_value(state: GibbsState, g) -> complex:
     """tr(rho g); real inputs give values real up to roundoff."""
     return state.value(g)
@@ -111,8 +113,7 @@ def gibbs_value(state: GibbsState, g) -> complex:
 
 def entropy_value(state: GibbsState, kbar: float = 1.0) -> float:
     """<S> = kbar (beta <H> + log Z), nonnegative at finite level count."""
-    mean_h = state.value(state.h).real
-    return kbar * (state.beta * mean_h + state.log_z)
+    return kbar * (state.beta * state.mean_energy + state.log_z)
 
 
 def schottky_capacity(e_gap: float, temperature: float,

@@ -10,6 +10,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,10 +21,10 @@ from liequant import cli
 from liequant.cli import MAX_ORDER, MAX_SAMPLES, main
 from liequant.errors import MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS
 from liequant.fermion import MAX_MODES
-from liequant.fock import MAX_LEVELS
+from liequant.fock import MAX_LEVELS, CoherentState
 from liequant.liealg import DIM_CAP
 from liequant.spectra import MAX_ASSIGN_LINES, MAX_KMAX
-from liequant.su2reps import MAX_DIM
+from liequant.su2reps import MAX_DIM, clebsch_gordan
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +154,19 @@ class TestBasicCommands:
         assert code == 0
         assert data["summands"] == [{"j": 1.0, "multiplicity": 1},
                                     {"j": 0.0, "multiplicity": 1}]
+
+    @pytest.mark.parametrize("argv, array", [
+        (("cg", "--k", "3/2", "--l", "1", "--full"),
+         lambda: clebsch_gordan(Fraction(3, 2), Fraction(1))[1]),
+        (("coherent", "--lam=-0.5,0.25", "--z=0.3,-0.2", "--dim", "12"),
+         lambda: CoherentState(complex(-0.5, 0.25), complex(0.3, -0.2), 12).coeffs),
+    ])
+    def test_complex_arrays_as_re_im_pairs(self, capsys, argv, array):
+        code, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        got = np.array(data["isometry" if argv[0] == "cg" else "coeffs"])
+        assert code == 0 and out == cli._jdump(data)
+        assert np.array_equal(got[..., 0] + 1j * got[..., 1], array())
 
     def test_fermion_check(self, capsys):
         code, out, _ = run_cli(capsys, "fermion-check", "--modes", "3")

@@ -216,8 +216,14 @@ class TestTrajectoryAccess:
 
 
 # ---------------------------------------------------------------------------
-# Test-only oracles: the per-step RK4, CSV writer and _add_term arithmetic
-# that the flat-row integrator and the trusted polynomial sums replaced.
+# Test-only oracles: the per-step RK4, CSV writer and term-by-term validating
+# arithmetic that the flat-row integrator and the one trusted term sum replaced.
+
+
+def reference_rhs(j, inertia):
+    """J x omega on tuples, omega = I^{-1} J."""
+    w = (j[0] / inertia[0], j[1] / inertia[1], j[2] / inertia[2])
+    return (j[1] * w[2] - j[2] * w[1], j[2] * w[0] - j[0] * w[2], j[0] * w[1] - j[1] * w[0])
 
 
 def reference_integrate(s0, dt, steps):
@@ -225,8 +231,7 @@ def reference_integrate(s0, dt, steps):
     inertia = s0.I
 
     def rhs(j):
-        w = (j[0] / inertia[0], j[1] / inertia[1], j[2] / inertia[2])
-        return (j[1] * w[2] - j[2] * w[1], j[2] * w[0] - j[0] * w[2], j[0] * w[1] - j[1] * w[0])
+        return reference_rhs(j, inertia)
 
     out = [s0]
     j = s0.J
@@ -250,7 +255,8 @@ def reference_csv(trajectory):
 
 
 class ReferencePoly:
-    """Sparse polynomial whose every term goes through the validating _add_term."""
+    """Sparse polynomial whose every term, in every operation, is checked and added one at a
+    time, as ``SparsePoly`` did before its constructor and its arithmetic shared one sum."""
 
     def __init__(self, nvars, terms=None):
         self.nvars = nvars
@@ -384,9 +390,28 @@ class TestAgainstReference:
     def test_brackets_do_not_revalidate(self, monkeypatch):
         f, g = J1 * J2 + J3 * J3 * J3, J1 * J1 - 2 * J2 * J3
         p, q = P * P * Q - Q, Q * Q + P
-        monkeypatch.setattr(SparsePoly, "_add_term", lambda *args: pytest.fail("_add_term ran"))
+        # every bracket result comes from the trusted sum, never the validating constructor
+        monkeypatch.setattr(SparsePoly, "__init__", lambda *args: pytest.fail("__init__ ran"))
         assert not lie_poisson_so3(f, g).is_zero()
         assert not poisson_pq(p, q).is_zero()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_euler_rhs_bits(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        for _ in range(250):
+            inertia = tuple(float(x) for x in rng.uniform(0.1, 5.0, 3))
+            j = tuple(float(x) * 10.0 ** int(rng.integers(-3, 4)) for x in rng.standard_normal(3))
+            got, expected = euler_rhs(RigidBodyState(j, inertia)), reference_rhs(j, inertia)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+    def test_invariant_bits(self):
+        # the CSV rows read E and J^2 from the same formula, so test_csv_bytes covers them too
+        rng = np.random.default_rng(510)
+        for _ in range(1000):
+            (a, b, c), (i1, i2, i3) = rng.standard_normal(3).tolist(), rng.uniform(0.1, 5.0, 3).tolist()
+            state = RigidBodyState((a, b, c), (i1, i2, i3))
+            assert state.energy.hex() == (0.5 * (a * a / i1 + b * b / i2 + c * c / i3)).hex()
+            assert state.j_squared.hex() == (a * a + b * b + c * c).hex()
 
     def test_constructor_still_validates(self):
         with pytest.raises(DomainError, match="bad_exponent"):

@@ -57,6 +57,24 @@ class TestDifferenceSpectrum:
             difference_spectrum(EnergyLevels([1.0]))
 
 
+class TestLevelMerge:
+    """A level merges into the last kept one within 1e-12 of the larger magnitude."""
+
+    def test_far_level_keeps_close_ones(self):
+        assert np.array_equal(EnergyLevels([0.0, 1.0, 1e150]).values, [0.0, 1.0, 1e150])
+
+    @pytest.mark.parametrize("values, kept", [
+        ([5.0, 5.0 + 2e-12, 9.0], [5.0, 9.0]),
+        ([2.0, 2.0, 2.0], [2.0]),
+        ([0.0, 0.0], [0.0]),
+        ([1e6 + 1e-7, 1e6, -3.0], [-3.0, 1e6]),
+        ([0.0, 1e-13, 1.0], [0.0, 1e-13, 1.0]),  # merged at a span-relative 1e-12
+        ([-1e-300, 1e-300], [-1e-300, 1e-300]),
+    ])
+    def test_relative_tolerance(self, values, kept):
+        assert np.array_equal(EnergyLevels(values).values, kept)
+
+
 class TestRydberg:
     def test_balmer_head(self):
         lines = {(k, l): w for k, l, w in rydberg_lines(3)}

@@ -6,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from liequant.errors import DomainError
-from liequant.matrixcore import expm
+from liequant import thermal
+from liequant.cli import main
+from liequant.errors import DomainError, check_positive
+from liequant.matrixcore import eig_hermitian, expm
 from liequant.thermal import (
     GibbsState,
     PhysicalConstants,
@@ -120,6 +122,89 @@ class TestGibbsValue:
         state = GibbsState(np.diag([0.0, 1.0]), 1.0)
         with pytest.raises(DomainError, match="shape"):
             state.value(np.eye(3))
+
+
+def reference_partition_function(h, beta):
+    """Z with its own eigensolve, as computed before ``GibbsState`` owned Z."""
+    check_positive(beta, "bad_beta", "beta")
+    w, _ = eig_hermitian(h)
+    if not math.isfinite(beta * (abs(float(w[0])) + abs(float(w[-1])))):
+        raise DomainError("range", "beta times an energy leaves the float range")
+    weights = np.exp(-beta * (w - w[0]))
+    if -beta * w[0] > 700.0:
+        raise DomainError("range", "ground-state weight overflows")
+    return float(np.sum(weights) * math.exp(-beta * w[0]))
+
+
+def token_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as err:
+        return err.token
+
+
+class TestOneEigensolve:
+    """``GibbsState`` alone turns H into weights; Z and <H> are read from it."""
+
+    def test_z_bits_match_the_reference(self):
+        rng = np.random.default_rng(76)
+        for n in range(1, 25):
+            for _ in range(4):
+                h = random_hermitian(rng, n) * 10.0 ** rng.uniform(-3, 2)
+                beta = 10.0 ** rng.uniform(-3, 1)
+                ground = np.linalg.eigvalsh(h)[0]
+                h -= np.eye(n) * (ground + rng.uniform(0.0, 690.0) / beta)  # -beta E_0 below 700
+                expected = reference_partition_function(h, beta)
+                assert partition_function(h, beta).hex() == expected.hex()
+                assert GibbsState(h, beta).z.hex() == expected.hex()
+
+    @pytest.mark.parametrize("h, beta", [
+        (np.diag([-2000.0, 0.0]), 1.0),             # the ground-state weight overflows
+        (np.diag([-700.0, 0.0]), 1.0 + 2**-52),     # just past the guard
+        (np.diag([-700.0, 0.0]), 1.0),              # at the guard, which admits it
+        (np.diag([2047.0]), 1e308),                 # beta E leaves the float range
+        (np.diag([0.0, 2047.0]), 1e300),            # only the excited weight underflows
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0),  # not_hermitian
+        (np.diag([0.0, 1.0]), math.nan),            # bad_beta
+        (np.zeros((2, 3)), 1.0),                    # shape
+    ])
+    def test_tokens_match_the_reference(self, h, beta):
+        expected = token_or_value(reference_partition_function, h, beta)
+        assert token_or_value(partition_function, h, beta) == expected
+        assert token_or_value(lambda: GibbsState(h, beta).z) == expected
+
+    def test_z_is_lazy(self):
+        state = GibbsState(np.diag([-2000.0, 0.0]), 1.0)
+        assert state.log_z == 2000.0
+        with pytest.raises(DomainError, match="range"):
+            state.z
+
+    def test_mean_energy_is_the_value_of_h(self):
+        rng = np.random.default_rng(77)
+        h = random_hermitian(rng, 6)
+        state = GibbsState(h, 0.8)
+        assert state.mean_energy == state.value(h).real
+        assert state.mean_energy is state.mean_energy
+        assert entropy_value(state) == state.beta * state.mean_energy + state.log_z
+
+    def test_partition_function_runs_one_eigensolve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(thermal, "eig_hermitian", lambda h: calls.append(h) or eig_hermitian(h))
+        partition_function(np.diag([0.0, 1.0, 3.0]), 0.5)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("source", ["--levels", "--in"])
+    def test_gibbs_runs_one_eigensolve(self, source, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(thermal, "eig_hermitian", lambda h: calls.append(h) or eig_hermitian(h))
+        if source == "--levels":
+            argv = ["gibbs", "--levels", "0,1,2.5", "--beta", "0.7"]
+        else:
+            (tmp_path / "h.json").write_text('{"matrix": [[0, 1], [1, 2]]}')
+            argv = ["gibbs", "--in", str(tmp_path / "h.json"), "--beta", "0.7"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert '"partition_function"' in capsys.readouterr().out
 
 
 class TestSchottky:
