@@ -345,7 +345,7 @@ def _cmd_assign(args) -> str:
     init = spectra.EnergyLevels(_json_array(args.levels, "levels"))
     best = spectra.assign_lines_multistart(
         data, init, hbar=args.hbar, max_iters=args.max_iters,
-        n_starts=max(1, args.starts), scale=args.scale,
+        n_starts=args.starts, scale=args.scale,
         rng=np.random.default_rng(_seed(args)))
     return _jdump({
         "levels": best.levels.tolist(),
@@ -441,7 +441,8 @@ COMMANDS = (
         _arg("--data", required=True, help="CSV with header omega,weight"),
         _arg("--levels", required=True, help='JSON file {"levels": [...]}'),
         _HBAR, _arg("--max-iters", type=int, default=100),
-        _arg("--starts", type=int, default=1, help="extra randomized restarts"),
+        _arg("--starts", type=int, default=1,
+             help="number of solves; each after the first starts from randomly perturbed levels"),
         _arg("--scale", type=float, default=0.01, help="restart perturbation scale"), _SEED)),
 )
 

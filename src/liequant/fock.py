@@ -34,6 +34,7 @@ __all__ = [
     "FiniteVerdict",
     "InfiniteVerdict",
     "build_highest_weight",
+    "case2_alpha",
 ]
 
 
@@ -262,6 +263,3 @@ def case2_alpha(j_m: int, u: float, v: float, hbar: float = 1.0) -> float:
     if u >= 0:
         raise DomainError("bad_case", "finite ladders require u < 0")
     return -(j_m + 1) / 2.0 - v / (hbar * u)
-
-
-__all__.append("case2_alpha")

@@ -63,8 +63,7 @@ class LieAlgebraBasis:
         """Schema {name, dim, names[], c[][][]}; complex entries become [re, im]."""
         c = self.c
         if np.iscomplexobj(c) and np.max(np.abs(c.imag)) > 0:
-            payload = [[[[float(v.real), float(v.imag)] for v in row]
-                        for row in plane] for plane in c]
+            payload = np.stack((c.real, c.imag), axis=-1).tolist()
         else:
             payload = np.real(c).tolist()
         return json.dumps(
@@ -168,17 +167,19 @@ def weyl_check(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 # builtin algebras
 
 
-def _e(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=complex)
-    m[i, j] = 1.0
+def _units(n: int, rows, cols) -> np.ndarray:
+    """The matrix units E_{rows[i], cols[i]} as one complex (len(rows), n, n) stack."""
+    m = np.zeros((len(rows), n, n), dtype=complex)
+    m[np.arange(len(rows)), rows, cols] = 1.0
     return m
 
 
-def _hat_basis():
-    j1 = np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex)
-    j2 = np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=complex)
-    j3 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)
-    return [j1, j2, j3]
+def _antisymmetric(d: int, table: dict) -> np.ndarray:
+    """The (d, d, d) tensor with c[j, k, l] = v and c[k, j, l] = -v for each (j, k, l): v."""
+    c = np.zeros((d, d, d))
+    for (j, k, l), v in table.items():
+        c[j, k, l], c[k, j, l] = v, -v
+    return c
 
 
 def _pauli():
@@ -186,13 +187,6 @@ def _pauli():
     s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
     s3 = np.array([[1, 0], [0, -1]], dtype=complex)
     return [s1, s2, s3]
-
-
-def _epsilon_tensor() -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    c[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0   # cyclic (j, k, l)
-    c[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0  # anticyclic
-    return c
 
 
 def _commutators(mats: np.ndarray) -> np.ndarray:
@@ -219,96 +213,59 @@ def _bracket_coords(mats: np.ndarray):
     return coef, float(np.max(np.abs(a @ sol - b), initial=0.0))
 
 
-def _gl_basis(n: int):
-    names, mats = [], []
-    for a in range(n):
-        for b in range(n):
-            names.append(f"E{a + 1}{b + 1}")
-            mats.append(_e(n, a, b))
-    return names, mats
+def _names(prefix: str, rows, cols) -> list:
+    return [f"{prefix}{a + 1}{b + 1}" for a, b in zip(rows.tolist(), cols.tolist())]
 
 
-def _sl_basis(n: int):
-    names, mats = [], []
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                names.append(f"E{a + 1}{b + 1}")
-                mats.append(_e(n, a, b))
-    for i in range(n - 1):
-        names.append(f"H{i + 1}")
-        mats.append(_e(n, i, i) - _e(n, i + 1, i + 1))
-    return names, mats
-
-
-def _so_pq_basis(p: int, q: int):
+def _generators(family: str, p: int, q: int = 0):
+    """Generator names and (dim, n, n) matrix stack of gl(p), sl(p), so(p,q) or sp(p)."""
     n = p + q
-    eta = np.diag([1.0] * p + [-1.0] * q)
-    names, mats = [], []
-    for a in range(n):
-        for b in range(a + 1, n):
-            names.append(f"M{a + 1}{b + 1}")
-            mats.append(eta[b, b] * _e(n, a, b) - eta[a, a] * _e(n, b, a))
-    return names, mats
-
-
-def _sp_basis(n: int):
-    # 2n x 2n block matrices [[A, B], [C, -A^T]] with B, C symmetric
-    names, mats = [], []
-    for i in range(n):
-        for j in range(n):
-            m = np.zeros((2 * n, 2 * n), dtype=complex)
-            m[i, j] = 1.0
-            m[n + j, n + i] = -1.0
-            names.append(f"A{i + 1}{j + 1}")
-            mats.append(m)
-    for i in range(n):
-        for j in range(i, n):
-            m = np.zeros((2 * n, 2 * n), dtype=complex)
-            m[i, n + j] = 1.0
-            m[j, n + i] = 1.0
-            names.append(f"B{i + 1}{j + 1}")
-            mats.append(m)
-    for i in range(n):
-        for j in range(i, n):
-            m = np.zeros((2 * n, 2 * n), dtype=complex)
-            m[n + i, j] = 1.0
-            m[n + j, i] = 1.0
-            names.append(f"C{i + 1}{j + 1}")
-            mats.append(m)
-    return names, mats
+    if family == "so":
+        a, b = np.triu_indices(n, 1)
+        eta = np.array([1.0] * p + [-1.0] * q)[:, None, None]
+        return _names("M", a, b), eta[b] * _units(n, a, b) - eta[a] * _units(n, b, a)
+    if family == "sp":
+        # 2n x 2n block matrices [[A, B], [C, -A^T]] with B, C symmetric
+        n //= 2
+        i, j = np.divmod(np.arange(n * n), n)
+        u, v = np.triu_indices(n)
+        bc = _units(2 * n, np.r_[u, n + u], np.r_[n + v, v])
+        bc[np.arange(len(bc)), np.r_[v, n + v], np.r_[n + u, u]] = 1.0  # the mirror entries
+        names = _names("A", i, j) + _names("B", u, v) + _names("C", u, v)
+        return names, np.concatenate((_units(2 * n, i, j) - _units(2 * n, n + j, n + i), bc))
+    a, b = np.divmod(np.arange(n * n), n)
+    if family == "gl":
+        return _names("E", a, b), _units(n, a, b)
+    off, h = a != b, np.arange(n - 1)
+    mats = np.concatenate((_units(n, a[off], b[off]), _units(n, h, h) - _units(n, h + 1, h + 1)))
+    return _names("E", a[off], b[off]) + [f"H{i + 1}" for i in h.tolist()], mats
 
 
 _PAREN = re.compile(r"^(gl|sl|sp|so)\(([0-9]+(?:,[0-9]+)?)\)$")
+# family: argument count, least matrix size, the size rule, dimension at size n
+_FAMILIES = {
+    "gl": (1, 1, "gl(n) needs n >= 1", lambda n: n * n),
+    "sl": (1, 2, "sl(n) needs n >= 2", lambda n: n * n - 1),
+    "so": (2, 2, "so(p,q) needs p+q >= 2", lambda n: n * (n - 1) // 2),
+    "sp": (1, 2, "sp(2n) needs an even size >= 2", lambda n: n * (n + 1) // 2),
+}
 
 
 def _family_basis(key: str):
-    """Generator names and matrices of gl(n), sl(n), so(p,q) or sp(2n)."""
+    """Generator names and matrix stack of gl(n), sl(n), so(p,q) or sp(2n)."""
     m = _PAREN.match(key)
-    if not m:
+    if not m or m.group(2).count(",") + 1 != _FAMILIES[m.group(1)][0]:
         raise DomainError("unknown_algebra", key)
     family, args = m.group(1), [int(x) for x in m.group(2).split(",")]
+    _, least, rule, dim = _FAMILIES[family]
     n = sum(args)
-    if family == "so" and len(args) == 2:
-        if n < 2:
-            raise DomainError("bad_size", "so(p,q) needs p+q >= 2")
-        dim, build = n * (n - 1) // 2, lambda: _so_pq_basis(*args)
-    elif family == "gl" and len(args) == 1:
-        if n < 1:
-            raise DomainError("bad_size", "gl(n) needs n >= 1")
-        dim, build = n * n, lambda: _gl_basis(n)
-    elif family == "sl" and len(args) == 1:
-        if n < 2:
-            raise DomainError("bad_size", "sl(n) needs n >= 2")
-        dim, build = n * n - 1, lambda: _sl_basis(n)
-    elif family == "sp" and len(args) == 1:
-        if n < 2 or n % 2:
-            raise DomainError("bad_size", "sp(2n) needs an even size >= 2")
-        dim, build = n * (n + 1) // 2, lambda: _sp_basis(n // 2)
-    else:
-        raise DomainError("unknown_algebra", key)
-    check_cap(dim, DIM_CAP, "the dimension", "dim_cap")  # before any matrix is built
-    return build()
+    if n < least or (family == "sp" and n % 2):
+        raise DomainError("bad_size", rule)
+    check_cap(dim(n), DIM_CAP, "the dimension", "dim_cap")  # before any matrix is built
+    return _generators(family, *args)
+
+
+_EPSILON = {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0}  # so3 and su2: eps_jkl
 
 
 def builtin_algebra(name: str):
@@ -320,29 +277,22 @@ def builtin_algebra(name: str):
     """
     key = name.replace(" ", "")
     if key == "so3":
-        names, mats, c = ("J1", "J2", "J3"), _hat_basis(), _epsilon_tensor()
+        r, s = [2, 0, 1], [1, 2, 0]  # J_k = E_{k+2,k+1} - E_{k+1,k+2}, indices mod 3
+        names, mats = ("J1", "J2", "J3"), _units(3, r, s) - _units(3, s, r)
+        c = _antisymmetric(3, _EPSILON)
     elif key == "su2":
         # generators sigma_k/(2i) share the epsilon constants with so3
-        names, mats, c = ("t1", "t2", "t3"), [s / 2j for s in _pauli()], _epsilon_tensor()
+        names, mats, c = ("t1", "t2", "t3"), np.stack(_pauli()) / 2j, _antisymmetric(3, _EPSILON)
     elif key == "heisenberg_t3":
-        names, mats = ("p", "q", "one"), [_e(3, 0, 1), _e(3, 1, 2), _e(3, 0, 2)]
-        c = np.zeros((3, 3, 3))
-        c[0, 1, 2] = 1.0
-        c[1, 0, 2] = -1.0
+        names, mats = ("p", "q", "one"), _units(3, [0, 1, 0], [1, 2, 2])
+        c = _antisymmetric(3, {(0, 1, 2): 1.0})
     elif key == "oscillator_os1":
-        names = ("one", "a", "a_dag", "n")
-        mats = [_e(3, 0, 2), _e(3, 0, 1), _e(3, 1, 2),
-                np.diag([0.0, 1.0, 0.0]).astype(complex)]
-        c = np.zeros((4, 4, 4))
-        c[1, 2, 0] = 1.0   # a <| a* = 1
-        c[2, 1, 0] = -1.0
-        c[1, 3, 1] = 1.0   # a <| n = a
-        c[3, 1, 1] = -1.0
-        c[2, 3, 2] = -1.0  # a* <| n = -a*
-        c[3, 2, 2] = 1.0
+        names, mats = ("one", "a", "a_dag", "n"), _units(3, [0, 0, 1, 1], [2, 1, 2, 1])
+        # a <| a* = 1, a <| n = a, a* <| n = -a*
+        c = _antisymmetric(4, {(1, 2, 0): 1.0, (1, 3, 1): 1.0, (2, 3, 2): -1.0})
     else:
         names, mats = _family_basis(key)
-        c, resid = _bracket_coords(np.stack(mats))
+        c, resid = _bracket_coords(mats)
         if resid > 1e-9:
             raise DomainError("not_closed", f"bracket left the span (residual {resid:.2e})")
         if np.max(np.abs(c.imag)) <= 1e-12:

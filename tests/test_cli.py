@@ -477,6 +477,10 @@ class TestBadInput:
          ("euler", "--in", "m.json"), "bad_input"),
         ({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": ["0", " 1e0 "]}'},
          ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        # --starts counts every solve: 0 and -5 were run as 1 and exited 0
+        *(({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1]}'},
+           ("assign", "--data", "d.csv", "--levels", "l.json", starts), "bad_iters")
+          for starts in ("--starts=0", "--starts=-5")),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""

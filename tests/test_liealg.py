@@ -1,5 +1,6 @@
 """Structure constants, builtin algebras, Killing form, Weyl relation."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -28,6 +29,106 @@ UP_TO_CAP = (["so3", "su2", "heisenberg_t3", "oscillator_os1"]
              + [f"gl({n})" for n in range(1, 9)] + [f"sl({n})" for n in range(2, 9)]
              + [f"so({p},{n - p})" for n in range(2, 12) for p in sorted({n, n // 2})]
              + [f"sp({n})" for n in range(2, 11, 2)])
+# UP_TO_CAP and every signature p + q = n of so(p,q) up to DIM_CAP: 99 names
+EVERY_SPLIT = list(dict.fromkeys(
+    UP_TO_CAP + [f"so({p},{n - p})" for n in range(2, 12) for p in range(n + 1)]))
+
+
+def reference_unit(n, i, j):
+    m = np.zeros((n, n), dtype=complex)
+    m[i, j] = 1.0
+    return m
+
+
+def reference_epsilon():
+    c = np.zeros((3, 3, 3))
+    c[[0, 1, 2], [1, 2, 0], [2, 0, 1]] = 1.0   # cyclic (j, k, l)
+    c[[1, 2, 0], [0, 1, 2], [2, 0, 1]] = -1.0  # anticyclic
+    return c
+
+
+def reference_named(key):
+    """Oracle: the named algebras' matrices and constants, written out entry by entry."""
+    if key == "so3":
+        mats = [np.array([[0, 0, 0], [0, 0, -1], [0, 1, 0]], dtype=complex),
+                np.array([[0, 0, 1], [0, 0, 0], [-1, 0, 0]], dtype=complex),
+                np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex)]
+        return ["J1", "J2", "J3"], mats, reference_epsilon()
+    if key == "su2":
+        pauli = [np.array([[0, 1], [1, 0]], dtype=complex),
+                 np.array([[0, -1j], [1j, 0]], dtype=complex),
+                 np.array([[1, 0], [0, -1]], dtype=complex)]
+        return ["t1", "t2", "t3"], [s / 2j for s in pauli], reference_epsilon()
+    if key == "heisenberg_t3":
+        c = np.zeros((3, 3, 3))
+        c[0, 1, 2] = 1.0
+        c[1, 0, 2] = -1.0
+        mats = [reference_unit(3, 0, 1), reference_unit(3, 1, 2), reference_unit(3, 0, 2)]
+        return ["p", "q", "one"], mats, c
+    c = np.zeros((4, 4, 4))  # oscillator_os1
+    c[1, 2, 0] = 1.0
+    c[2, 1, 0] = -1.0
+    c[1, 3, 1] = 1.0
+    c[3, 1, 1] = -1.0
+    c[2, 3, 2] = -1.0
+    c[3, 2, 2] = 1.0
+    mats = [reference_unit(3, 0, 2), reference_unit(3, 0, 1), reference_unit(3, 1, 2),
+            np.diag([0.0, 1.0, 0.0]).astype(complex)]
+    return ["one", "a", "a_dag", "n"], mats, c
+
+
+def reference_family(key):
+    """Oracle: the loop builders of gl(n), sl(n), so(p,q) and sp(2n), one matrix at a time."""
+    family, args = key[:2], [int(x) for x in key[3:-1].split(",")]
+    n = sum(args)
+    names, mats = [], []
+    if family in ("gl", "sl"):
+        for a in range(n):
+            for b in range(n):
+                if family == "gl" or a != b:
+                    names.append(f"E{a + 1}{b + 1}")
+                    mats.append(reference_unit(n, a, b))
+        for i in range(n - 1 if family == "sl" else 0):
+            names.append(f"H{i + 1}")
+            mats.append(reference_unit(n, i, i) - reference_unit(n, i + 1, i + 1))
+    elif family == "so":
+        eta = np.diag([1.0] * args[0] + [-1.0] * args[1])
+        for a in range(n):
+            for b in range(a + 1, n):
+                names.append(f"M{a + 1}{b + 1}")
+                mats.append(eta[b, b] * reference_unit(n, a, b)
+                            - eta[a, a] * reference_unit(n, b, a))
+    else:
+        n //= 2
+        for i in range(n):
+            for j in range(n):
+                m = np.zeros((2 * n, 2 * n), dtype=complex)
+                m[i, j] = 1.0
+                m[n + j, n + i] = -1.0
+                names.append(f"A{i + 1}{j + 1}")
+                mats.append(m)
+        for block, rows, cols in (("B", 0, n), ("C", n, 0)):
+            for i in range(n):
+                for j in range(i, n):
+                    m = np.zeros((2 * n, 2 * n), dtype=complex)
+                    m[rows + i, cols + j] = 1.0
+                    m[rows + j, cols + i] = 1.0
+                    names.append(f"{block}{i + 1}{j + 1}")
+                    mats.append(m)
+    c = liealg._bracket_coords(np.stack(mats))[0]
+    return names, mats, c.real.copy() if np.max(np.abs(c.imag)) <= 1e-12 else c
+
+
+def reference_to_json(basis):
+    """Oracle: the complex payload written entry by entry."""
+    c = basis.c
+    if np.iscomplexobj(c) and np.max(np.abs(c.imag)) > 0:
+        payload = [[[[float(v.real), float(v.imag)] for v in row]
+                    for row in plane] for plane in c]
+    else:
+        payload = np.real(c).tolist()
+    return json.dumps(
+        {"name": basis.name, "dim": basis.dim, "names": list(basis.names), "c": payload})
 
 
 def pairwise_constants(mats):
@@ -139,6 +240,16 @@ class TestBuiltins:
         loop = sum(coords[j] * real.mats[j] for j in range(basis.dim))
         assert np.max(np.abs(real.element(coords) - loop)) <= 1e-12
 
+    @pytest.mark.parametrize("name", EVERY_SPLIT)
+    def test_bits_of_the_loop_builders(self, name):
+        # tobytes, so that every signed zero of the matrices and constants counts
+        basis, real = builtin_algebra(name)
+        names, mats, c = (reference_family if "(" in name else reference_named)(name)
+        assert basis.names == tuple(names)
+        assert (basis.c.dtype, basis.c.shape, basis.c.tobytes()) == (c.dtype, c.shape, c.tobytes())
+        assert [(m.dtype, m.shape, m.tobytes()) for m in real.mats] == [
+            (m.dtype, m.shape, m.tobytes()) for m in mats]
+
     def test_realization_needs_square_matrices_of_one_size(self):
         basis, _ = builtin_algebra("so3")
         for mats in ([np.ones((2, 3))] * 3, [np.eye(2), np.eye(2), np.eye(3)], [np.eye(2)] * 2):
@@ -158,9 +269,9 @@ class TestBuiltins:
 
     @pytest.mark.parametrize("name", ["gl(9)", "gl(1000)", "sl(9)", "so(6,6)", "sp(12)"])
     def test_dim_cap_before_building(self, name, monkeypatch):
-        def refuse(n, *rest):
+        def refuse(*args):
             raise AssertionError("generators built before the dimension check")
-        for builder in ("_gl_basis", "_sl_basis", "_so_pq_basis", "_sp_basis"):
+        for builder in ("_generators", "_units"):
             monkeypatch.setattr(liealg, builder, refuse)
         with pytest.raises(DomainError, match="dim_cap"):
             builtin_algebra(name)
@@ -195,6 +306,19 @@ class TestBuiltins:
         basis = LieAlgebraBasis("toy", ("x", "y"), c)
         again = LieAlgebraBasis.from_json(basis.to_json())
         assert np.array_equal(again.c, c)
+
+    def test_json_bytes_against_entrywise_payload(self):
+        rng = np.random.default_rng(41)
+        special = np.array([0.0, -0.0, 1e-320, -1e-320, 1e300, -1e300])
+        for trial in range(300):
+            d = 1 + trial % 6
+            parts = rng.standard_normal((2, d, d, d))
+            planted = rng.random((2, d, d, d)) < 0.3
+            parts[planted] = rng.choice(special, planted.sum())
+            c = np.empty((d, d, d), dtype=complex)
+            c.real, c.imag = parts[0], parts[1] if trial % 10 else 0.0
+            basis = LieAlgebraBasis("toy", tuple(map(str, range(d))), c)
+            assert basis.to_json() == reference_to_json(basis)
 
     def test_quantum_convention_realization(self):
         # (i/hbar)[X_j, X_k] = eps_jkl X_l holds for X_j = -hbar sigma_j / 2
