@@ -101,7 +101,8 @@ class MatrixRealization:
         mats = tuple(as_square(m) for m in self.mats)
         if len(mats) != self.basis.dim or len({m.shape for m in mats}) > 1:
             raise DomainError("shape", "one square matrix per generator, all of one size")
-        object.__setattr__(self, "mats", mats)
+        object.__setattr__(self, "_stack", np.stack(mats))  # mats are views into it
+        object.__setattr__(self, "mats", tuple(self._stack))
 
     @property
     def _scale(self) -> complex:
@@ -112,34 +113,46 @@ class MatrixRealization:
 
     def consistency_residual(self) -> float:
         """Max deviation of the realized bracket from the structure constants."""
-        mats = np.stack(self.mats)
-        lhs = self._scale * _commutators(mats)
-        return float(np.max(np.abs(lhs - np.tensordot(self.basis.c, mats, axes=(2, 0)))))
+        lhs = self._scale * _commutators(self._stack)
+        return float(np.max(np.abs(lhs - np.tensordot(self.basis.c, self._stack, axes=(2, 0)))))
 
     def element(self, coords) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), np.stack(self.mats), axes=(0, 0))
+        return np.tensordot(np.asarray(coords), self._stack, axes=(0, 0))
 
 
 def verify_jacobi(basis: LieAlgebraBasis) -> float:
     """Max absolute Jacobi contraction over all index quadruples."""
     c = basis.c
     d = c.shape[0]
-    # one GEMM: row (j, k, l) of t is sum_m c[j,k,m] c[m,l,:]; the other two
-    # terms of the contraction are rows (k, l, j) and (l, j, k) of the same t
-    t = (c.reshape(d * d, d) @ c.reshape(d, d * d)).reshape(d ** 3, d)
-    # the sum is the same for every cyclic rotation of (j, k, l), and each
-    # rotation class has a member with j <= k and j <= l (about d^3/3 rows)
+    a = c.reshape(d * d, d)
+    pairs = np.flatnonzero(a.any(axis=1))
+    a = a[pairs]
+    # one GEMM over the pairs (j, k) with a nonzero constant: row (pair, l) of t is
+    # sum_m c[j,k,m] c[m,l,:]; every other pair reads the zero pair at the end of t
+    t = np.zeros((len(pairs) + 1, d * d), dtype=c.dtype)
+    np.matmul(a, c.reshape(d, d * d), out=t[:-1])
+    t = t.reshape(-1, d)
+    row = np.full(d * d, len(pairs) * d)  # first row of each pair (j, k) in t
+    row[pairs] = np.arange(0, len(pairs) * d, d)
+    # row (j, k, l) is live if some m has c[j,k,m] != 0 and c[m,l,:] != 0, else it is 0
+    live = np.zeros((d * d, d), dtype=bool)
+    live[pairs] = (a != 0).astype(float) @ c.any(axis=2) > 0
+    live = live.reshape(d, d, d)
+    # the sum is the same for every cyclic rotation of (j, k, l), and each rotation
+    # class has a member with j <= k and j <= l: sum there, for classes with a live row
     i = np.arange(d)
     first = i[:, None, None]
-    j, k, l = np.nonzero((first <= i[:, None]) & (first <= i))
-    total = t[(j * d + k) * d + l] + t[(k * d + l) * d + j] + t[(l * d + j) * d + k]
+    j, k, l = np.nonzero((live | live.transpose(2, 0, 1) | live.transpose(1, 2, 0))
+                         & (first <= i[:, None]) & (first <= i))
+    total = t[row[j * d + k] + l] + t[row[k * d + l] + j] + t[row[l * d + j] + k]
     return float(np.max(np.abs(total), initial=0.0))
 
 
 def killing_form(basis: LieAlgebraBasis) -> np.ndarray:
     """Killing form B[j,k] = tr(ad_j ad_k) with (ad_j)[l,k] = c[j,k,l]."""
     c = basis.c
-    return np.einsum("jba,mab->jm", c, c)
+    d = c.shape[0]
+    return c.transpose(0, 2, 1).reshape(d, d * d) @ c.reshape(d, d * d).T
 
 
 def is_semisimple(basis: LieAlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -292,10 +305,11 @@ def builtin_algebra(name: str):
         c = _antisymmetric(4, {(1, 2, 0): 1.0, (1, 3, 1): 1.0, (2, 3, 2): -1.0})
     else:
         names, mats = _family_basis(key)
-        c, resid = _bracket_coords(mats)
+        coef, resid = _bracket_coords(mats)
+        # the family constants are integers: round them, and certify the rounding
+        c = np.rint(coef.real) + 0.0  # + 0.0 leaves no -0.0
+        resid = max(resid, float(np.max(np.abs(coef - c))))
         if resid > 1e-9:
             raise DomainError("not_closed", f"bracket left the span (residual {resid:.2e})")
-        if np.max(np.abs(c.imag)) <= 1e-12:
-            c = c.real.copy()
     basis = LieAlgebraBasis(key, tuple(names), c)
     return basis, MatrixRealization(basis, tuple(mats))

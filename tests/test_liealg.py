@@ -116,7 +116,7 @@ def reference_family(key):
                     names.append(f"{block}{i + 1}{j + 1}")
                     mats.append(m)
     c = liealg._bracket_coords(np.stack(mats))[0]
-    return names, mats, c.real.copy() if np.max(np.abs(c.imag)) <= 1e-12 else c
+    return names, mats, np.rint(c.real) + 0.0  # integer constants, and no -0.0
 
 
 def reference_to_json(basis):
@@ -250,6 +250,14 @@ class TestBuiltins:
         assert [(m.dtype, m.shape, m.tobytes()) for m in real.mats] == [
             (m.dtype, m.shape, m.tobytes()) for m in mats]
 
+    @pytest.mark.parametrize("name", [n for n in EVERY_SPLIT if "(" in n])
+    def test_family_constants_are_exact_integers(self, name):
+        basis, real = builtin_algebra(name)
+        assert np.array_equal(basis.c, np.rint(pairwise_constants(real.mats)))
+        assert basis.c.dtype == np.float64
+        assert not np.signbit(basis.c[basis.c == 0]).any()
+        assert real.consistency_residual() == 0.0
+
     def test_realization_needs_square_matrices_of_one_size(self):
         basis, _ = builtin_algebra("so3")
         for mats in ([np.ones((2, 3))] * 3, [np.eye(2), np.eye(2), np.eye(3)], [np.eye(2)] * 2):
@@ -365,16 +373,11 @@ class TestJacobi:
 
     @pytest.mark.parametrize("name", UP_TO_CAP)
     def test_builtins_against_einsum_oracle(self, name):
-        # exact sums agree bitwise; lstsq-built constants off the integers
-        # may differ in the last bit of a residual near 1e-15
+        # every builtin has integer constants, so the sums are exact
         basis = builtin_algebra(name)[0]
-        got, want = verify_jacobi(basis), einsum_jacobi(basis.c)
-        if np.array_equal(basis.c, np.round(basis.c)):
-            assert got == want
-        else:
-            assert abs(got - want) <= 1e-15
+        assert verify_jacobi(basis) == einsum_jacobi(basis.c)
 
-    @pytest.mark.parametrize("kind", ["real", "complex", "antisymmetric", "integer"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "antisymmetric", "integer", "sparse"])
     def test_random_tensors_against_einsum_oracle(self, kind):
         rng = np.random.default_rng(29)
         for d in range(1, 13):
@@ -386,25 +389,42 @@ class TestJacobi:
                 c = c + 1j * rng.standard_normal((d, d, d))
             if kind == "antisymmetric":
                 c = c - c.swapaxes(0, 1)
-            got = verify_jacobi(LieAlgebraBasis("random", tuple(map(str, range(d))), c))
-            want = einsum_jacobi(c)
-            if kind == "integer":
-                assert got == want
-            else:
-                assert abs(got - want) <= 1e-14 * want
+            tensors = [c]
+            if kind == "sparse":
+                # most pairs (j, k) zero; about 2d nonzero entries, so that most
+                # rotation classes have one live row; one live pair, where j = k
+                # gives the tied rows (j, j, j); and no live pair at all
+                one = np.zeros((d, d, d))
+                j, k = rng.integers(0, d, 2)
+                one[j, k] = c[j, k]
+                tensors = [c * (rng.random((d, d, 1)) < 0.2),
+                           c * (rng.random((d, d, d)) < 2 / d ** 2), one, np.zeros((d, d, d))]
+            for c in tensors:
+                got = verify_jacobi(LieAlgebraBasis("random", tuple(map(str, range(d))), c))
+                want = einsum_jacobi(c)
+                if kind == "integer":
+                    assert got == want
+                else:
+                    assert abs(got - want) <= 1e-14 * want
 
     def test_allocation_bound_at_cap(self):
         # a deterministic memory bound, not a timing gate: the einsum oracle
-        # holds 3 d^4 entries at once, the GEMM about 1.7 d^4
+        # holds 3 d^4 entries at once; the GEMM over live pairs holds about
+        # 0.3 d^4 for gl(8), and 1.7 d^4 for a dense tensor, where every pair is live
+        rng = np.random.default_rng(31)
+        dense = rng.standard_normal((DIM_CAP,) * 3)
+        dense = LieAlgebraBasis("dense", tuple(map(str, range(DIM_CAP))),
+                                dense - dense.swapaxes(0, 1))
         basis = builtin_algebra("gl(8)")[0]
         assert basis.dim == DIM_CAP
-        tracemalloc.start()
-        try:
-            verify_jacobi(basis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * basis.dim ** 4 * basis.c.itemsize
+        for algebra, bound in ((basis, 0.5), (dense, 2)):
+            tracemalloc.start()
+            try:
+                verify_jacobi(algebra)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * DIM_CAP ** 4 * algebra.c.itemsize
 
 
 class TestKillingForm:
@@ -425,9 +445,22 @@ class TestKillingForm:
 
     @pytest.mark.parametrize("name", UP_TO_CAP)
     def test_equals_einsum(self, name):
-        # a GEMM form of B changes its last bits, and algebra-verify prints B
+        # the constants are exact, so the GEMM sums are too: every bit, signed zeros
+        # included, matches the einsum (algebra-verify prints B)
         basis = builtin_algebra(name)[0]
-        assert np.array_equal(killing_form(basis), np.einsum("jba,mab->jm", basis.c, basis.c))
+        want = np.einsum("jba,mab->jm", basis.c, basis.c)
+        assert killing_form(basis).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_random_tensors_against_einsum(self, kind):
+        rng = np.random.default_rng(37)
+        for d in range(1, 25):
+            c = rng.standard_normal((d, d, d))
+            if kind == "complex":
+                c = c + 1j * rng.standard_normal((d, d, d))
+            got = killing_form(LieAlgebraBasis("random", tuple(map(str, range(d))), c))
+            want = np.einsum("jba,mab->jm", c, c)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_symmetry(self):
         for name in ALL_BUILTINS:
