@@ -113,8 +113,8 @@ class MatrixRealization:
 
     def consistency_residual(self) -> float:
         """Max deviation of the realized bracket from the structure constants."""
-        lhs = self._scale * _commutators(self._stack)
-        return float(np.max(np.abs(lhs - np.tensordot(self.basis.c, self._stack, axes=(2, 0)))))
+        com = self._scale * _commutators(self._stack)
+        return _closure_residual(com, self.basis.c, self._stack)
 
     def element(self, coords) -> np.ndarray:
         return np.tensordot(np.asarray(coords), self._stack, axes=(0, 0))
@@ -181,8 +181,8 @@ def weyl_check(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def _units(n: int, rows, cols) -> np.ndarray:
-    """The matrix units E_{rows[i], cols[i]} as one complex (len(rows), n, n) stack."""
-    m = np.zeros((len(rows), n, n), dtype=complex)
+    """The matrix units E_{rows[i], cols[i]} as one real (len(rows), n, n) stack."""
+    m = np.zeros((len(rows), n, n))
     m[np.arange(len(rows)), rows, cols] = 1.0
     return m
 
@@ -204,26 +204,30 @@ def _pauli():
 
 def _commutators(mats: np.ndarray) -> np.ndarray:
     """All commutators [M_j, M_k] of a (d, n, n) stack, as a (d, d, n, n) tensor."""
-    prod = mats[:, None] @ mats[None, :]
+    d, n = mats.shape[:2]
+    # one GEMM: entry ((j, a), (k, b)) of the product is (M_j M_k)[a, b]
+    prod = mats.reshape(d * n, n) @ mats.transpose(1, 0, 2).reshape(n, d * n)
+    prod = prod.reshape(d, n, d, n).transpose(0, 2, 1, 3)
     return prod - prod.swapaxes(0, 1)
 
 
-def _bracket_coords(mats: np.ndarray):
-    """Coordinates of every [M_j, M_k] in span(M), from one least-squares solve.
+def _closure_residual(com: np.ndarray, c: np.ndarray, mats: np.ndarray) -> float:
+    """max |com[j, k] - sum_l c[j, k, l] M_l| over all pairs (j, k); overwrites ``com``."""
+    d = c.shape[0]
+    diff, c2 = com.reshape(d * d, -1), c.reshape(d * d, d)
+    # one GEMM over the pairs with a nonzero constant; every other pair is compared with 0
+    pairs = np.flatnonzero(c2.any(axis=1))
+    diff[pairs] -= c2[pairs] @ mats.reshape(d, -1)
+    return float(np.max(np.abs(diff), initial=0.0))
 
-    Returns ``(coef, resid)``: [M_j, M_k] = sum_l coef[j, k, l] M_l up to
-    ``resid``, the largest residual entry.  Only the pairs j < k are
-    solved, so that coef[k, j] = -coef[j, k] holds exactly.
-    """
+
+def _span_residual(mats: np.ndarray) -> float:
+    """Largest entry of any [M_j, M_k] outside span(M), from one least-squares solve."""
     d = mats.shape[0]
-    upper = np.triu_indices(d, 1)
     a = mats.reshape(d, -1).T
-    b = _commutators(mats)[upper].reshape(-1, a.shape[0]).T
+    b = _commutators(mats)[np.triu_indices(d, 1)].reshape(-1, a.shape[0]).T
     sol = np.linalg.lstsq(a, b, rcond=None)[0]
-    coef = np.zeros((d, d, d), dtype=sol.dtype)
-    coef[upper] = sol.T
-    coef[upper[::-1]] = -sol.T
-    return coef, float(np.max(np.abs(a @ sol - b), initial=0.0))
+    return float(np.max(np.abs(a @ sol - b), initial=0.0))
 
 
 def _names(prefix: str, rows, cols) -> list:
@@ -305,10 +309,13 @@ def builtin_algebra(name: str):
         c = _antisymmetric(4, {(1, 2, 0): 1.0, (1, 3, 1): 1.0, (2, 3, 2): -1.0})
     else:
         names, mats = _family_basis(key)
-        coef, resid = _bracket_coords(mats)
-        # the family constants are integers: round them, and certify the rounding
-        c = np.rint(coef.real) + 0.0  # + 0.0 leaves no -0.0
-        resid = max(resid, float(np.max(np.abs(coef - c))))
+        # integer constants: read with the dual basis of the (independent) generators,
+        # rounded, and the rounding certified by the closure residual
+        d = len(mats)
+        a = mats.reshape(d, -1)
+        com = _commutators(mats).reshape(d * d, -1)
+        c = np.rint(com @ np.linalg.solve(a @ a.T, a).T).reshape(d, d, d) + 0.0  # no -0.0
+        resid = _closure_residual(com, c, a)
         if resid > 1e-9:
             raise DomainError("not_closed", f"bracket left the span (residual {resid:.2e})")
     basis = LieAlgebraBasis(key, tuple(names), c)

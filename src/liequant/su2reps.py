@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MAX_DIM, DomainError, check_cap
-from .liealg import _bracket_coords
+from .liealg import _span_residual
 from .matrixcore import as_square, eig_hermitian
 
 __all__ = [
@@ -191,7 +191,7 @@ def decompose_restriction(sub_mats, tol: float = 1e-8):
     if not mats:
         raise DomainError("not_subalgebra", "no generators given")
     mats = np.stack(mats)
-    if _bracket_coords(mats)[1] > tol:
+    if _span_residual(mats) > tol:
         raise DomainError("not_subalgebra", "commutator leaves the span")
     trace_form = np.einsum("iab,jba->ij", mats, mats)
     if abs(np.linalg.det(trace_form)) < 1e-12:

@@ -1,6 +1,7 @@
 """Structure constants, builtin algebras, Killing form, Weyl relation."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,7 +116,7 @@ def reference_family(key):
                     m[rows + j, cols + i] = 1.0
                     names.append(f"{block}{i + 1}{j + 1}")
                     mats.append(m)
-    c = liealg._bracket_coords(np.stack(mats))[0]
+    c = pairwise_constants(mats)
     return names, mats, np.rint(c.real) + 0.0  # integer constants, and no -0.0
 
 
@@ -345,6 +346,113 @@ class TestBuiltins:
         basis, real = builtin_algebra("su2")
         with pytest.raises(DomainError, match="bad_hbar"):
             MatrixRealization(basis, real.mats, "quantum", hbar=float("nan"))
+
+
+def batched_commutators(mats):
+    """Oracle: d^2 small batched matmuls, [M_j, M_k] = M_j M_k - M_k M_j."""
+    prod = mats[:, None] @ mats[None, :]
+    return prod - prod.swapaxes(0, 1)
+
+
+def random_stack(rng, d, n):
+    return rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+
+
+def traced_peak(step, bound):
+    """Run step() under tracemalloc, check its peak allocation, and return its result."""
+    tracemalloc.start()
+    try:
+        result = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    return result
+
+
+class TestClosure:
+    @pytest.mark.parametrize("name, alter, resid", [
+        # gl(3) without E12, which [E13, E32] needs: that pair has no constant at all
+        ("gl(3)", lambda names, mats: (names[:1] + names[2:], np.delete(mats, 1, axis=0)),
+         "1.00e+00"),
+        # so(4) with M12 halved: [M12/2, M13] = M23/2 up to sign, which rounds to 0
+        ("so(4,0)", lambda names, mats: (names, mats * np.r_[0.5, [1.0] * 5][:, None, None]),
+         "5.00e-01"),
+    ])
+    def test_not_closed(self, name, alter, resid, monkeypatch):
+        generators = liealg._generators
+        monkeypatch.setattr(liealg, "_generators", lambda *args: alter(*generators(*args)))
+        with pytest.raises(DomainError, match=f"not_closed.*residual {re.escape(resid)}"):
+            builtin_algebra(name)
+
+    def test_builtins_need_no_least_squares(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lstsq called")
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        for name in EVERY_SPLIT:
+            assert builtin_algebra(name)[1].consistency_residual() == 0.0
+
+    @pytest.mark.parametrize("name", EVERY_SPLIT)
+    def test_commutators_against_batched_matmuls(self, name):
+        # equal values; the signs of zeros may differ, so no tobytes.  The families'
+        # constants are read from the real stack, the residual from the complex one
+        stacks = [builtin_algebra(name)[1]._stack]
+        if "(" in name:
+            stacks.append(liealg._family_basis(name)[1])
+        for stack in stacks:
+            assert np.array_equal(liealg._commutators(stack), batched_commutators(stack))
+
+    def test_commutators_of_random_complex_stacks(self):
+        rng = np.random.default_rng(43)
+        for d, n in ((1, 1), (1, 5), (3, 2), (3, 40), (7, 3), (20, 6)):
+            mats = random_stack(rng, d, n)
+            got = liealg._commutators(mats)
+            assert got.shape == (d, d, n, n)
+            assert np.max(np.abs(got - batched_commutators(mats))) <= 1e-13
+
+    def test_complex_constants_from_json(self):
+        # [sigma_j, sigma_k] = 2i eps_jkl sigma_l: exact complex constants, and a
+        # random complex tensor on random matrices, each read back from JSON
+        pauli = np.stack(liealg._pauli())
+        rng = np.random.default_rng(47)
+        for c, mats in ((2j * reference_epsilon(), pauli),
+                        (rng.standard_normal((4, 4, 4)) + 1j * rng.standard_normal((4, 4, 4)),
+                         random_stack(rng, 4, 3))):
+            basis = LieAlgebraBasis.from_json(
+                LieAlgebraBasis("toy", tuple(map(str, range(len(c)))), c).to_json())
+            assert np.iscomplexobj(basis.c)
+            real = MatrixRealization(basis, tuple(mats))
+            assert abs(real.consistency_residual() - pairwise_consistency(real)) <= 1e-12
+
+    @pytest.mark.parametrize("hbar", [0.3, 1.0, 2.5])
+    def test_quantum_convention_against_oracle(self, hbar):
+        basis, _ = builtin_algebra("so3")
+        pauli = [-hbar * s / 2 for s in liealg._pauli()]
+        real = MatrixRealization(basis, pauli, product_convention="quantum", hbar=hbar)
+        assert real.consistency_residual() <= 1e-12
+        wrong = MatrixRealization(basis, random_stack(np.random.default_rng(53), 3, 4),
+                                  product_convention="quantum", hbar=hbar)
+        got = wrong.consistency_residual()
+        assert got > 0.1
+        assert abs(got - pairwise_consistency(wrong)) <= 1e-12 * got
+
+    def test_zeroed_pair_that_does_not_commute(self):
+        # c says [J1, J2] = 0, yet the realized bracket is J3
+        basis, real = builtin_algebra("so3")
+        c = basis.c.copy()
+        c[0, 1] = c[1, 0] = 0.0
+        zeroed = MatrixRealization(LieAlgebraBasis("zeroed", basis.names, c), real.mats)
+        assert zeroed.consistency_residual() == pairwise_consistency(zeroed) == 1.0
+
+    def test_allocation_bounds_at_cap(self):
+        # deterministic memory bounds, not timing gates, in units of one complex
+        # (d, d, n, n) commutator tensor: the constants need the real commutators and
+        # one dual-basis read; the residual needs the complex commutators
+        unit = DIM_CAP ** 2 * 8 ** 2 * 16
+        builtin_algebra("gl(8)")  # warm caches
+        basis, real = traced_peak(lambda: builtin_algebra("gl(8)"), 2 * unit)
+        assert basis.dim == DIM_CAP
+        traced_peak(real.consistency_residual, 2.5 * unit)
 
 
 class TestJacobi:
