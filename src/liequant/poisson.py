@@ -1,8 +1,13 @@
 """Classical brackets on polynomial observables and rigid-body dynamics.
 
-Polynomials are sparse maps from exponent tuples to coefficients.
-Coefficients stay exact (int/Fraction) whenever the inputs are exact, so
-bracket identities like Jacobi can be checked with zero tolerance.  The
+Polynomials are sparse maps from exponent tuples to coefficients.  A
+polynomial whose coefficients are all exact (ints, Fractions, numpy
+integers) stores them as integer numerators over one positive, reduced
+denominator, so its arithmetic runs on Python ints and bracket
+identities like Jacobi can be checked with zero tolerance.  Once a float
+or complex coefficient enters, the coefficients are kept as given.
+``terms`` reads either form as a new dict, with exact coefficients as
+Fractions, so mutating it does not change the polynomial.  The
 canonical bracket acts on polynomials in (p, q), the rotational bracket
 on polynomials in (J1, J2, J3), and the free rigid body is integrated
 with fixed-step classical RK4.
@@ -11,11 +16,12 @@ with fixed-step classical RK4.
 from __future__ import annotations
 
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import add
+from operator import add, index
 
 from .errors import DomainError
 
@@ -39,9 +45,9 @@ __all__ = [
 
 
 def _exactify(value):
-    """Ints become Fractions so arithmetic stays exact; floats pass through."""
-    if isinstance(value, int):
-        return Fraction(value)
+    """Rationals (numpy integers too) become Fractions of Python ints; floats pass through."""
+    if isinstance(value, numbers.Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
     return value
 
 
@@ -58,81 +64,138 @@ def _sum_terms(items) -> dict:
     return terms
 
 
-class SparsePoly:
-    """Sparse polynomial in ``nvars`` variables; zero coefficients are dropped."""
+def _scaled(poly: "SparsePoly", den: int):
+    """The numerators of an exact ``poly`` over ``den``, a multiple of its own denominator."""
+    scale = den // poly.den
+    if scale == 1:
+        return poly.nums.items()
+    return ((expo, num * scale) for expo, num in poly.nums.items())
 
-    __slots__ = ("nvars", "terms")
+
+class SparsePoly:
+    """Sparse polynomial in ``nvars`` variables; zero coefficients are dropped.
+
+    An exact polynomial has ``nums[e] / den`` as the coefficient of ``e``, with
+    ``den > 0`` and ``gcd(den, *nums.values()) == 1``; any other has
+    ``den is None`` and its coefficients in ``nums``.
+    """
+
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms=None):
         items = []
         for expo, coeff in (terms or {}).items():
-            expo = tuple(expo)
+            try:
+                expo = tuple(map(index, expo))
+            except TypeError:
+                raise DomainError("bad_exponent", str(expo)) from None
             if len(expo) != nvars or any(e < 0 for e in expo):
                 raise DomainError("bad_exponent", str(expo))
             items.append((expo, _exactify(coeff)))
         self.nvars = nvars
-        self.terms = _sum_terms(items)
+        if all(isinstance(c, Fraction) for _, c in items):
+            den = math.lcm(*(c.denominator for _, c in items))
+            items = [(e, c.numerator * (den // c.denominator)) for e, c in items]
+        else:
+            den = None
+        self._store(den, items)
+
+    def _store(self, den, items):
+        """Sum ``items`` into ``nums`` over ``den`` and reduce an exact result once."""
+        nums = _sum_terms(items)
+        if den is not None:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {expo: num // g for expo, num in nums.items()}
+        self.den = den
+        self.nums = nums
 
     @classmethod
-    def _summed(cls, nvars: int, items) -> "SparsePoly":
-        """``_sum_terms(items)``, whose exponents the arithmetic below made valid."""
+    def _summed(cls, nvars: int, den, items) -> "SparsePoly":
+        """The sum of ``items`` over ``den``, whose exponents the arithmetic below made valid."""
         out = cls.__new__(cls)
         out.nvars = nvars
-        out.terms = _sum_terms(items)
+        out._store(den, items)
         return out
+
+    @property
+    def terms(self) -> dict:
+        """A new dict {exponent: coefficient}; exact coefficients are read as Fractions."""
+        if self.den is None:
+            return dict(self.nums)
+        den = self.den
+        return {expo: Fraction(num, den) for expo, num in self.nums.items()}
 
     def _check(self, other: "SparsePoly"):
         if self.nvars != other.nvars:
             raise DomainError("shape", "polynomials over different variables")
 
+    def _poly(self, other) -> "SparsePoly":
+        return other if isinstance(other, SparsePoly) else constant(self.nvars, other)
+
     def __add__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = constant(self.nvars, other)
+        other = self._poly(other)
         self._check(other)
-        return SparsePoly._summed(self.nvars, chain(self.terms.items(), other.terms.items()))
+        if self.den is None or other.den is None:
+            return SparsePoly._summed(self.nvars, None, chain(self.terms.items(), other.terms.items()))
+        den = math.lcm(self.den, other.den)
+        return SparsePoly._summed(self.nvars, den, chain(_scaled(self, den), _scaled(other, den)))
+
+    def __radd__(self, other):
+        return constant(self.nvars, other) + self
 
     def __neg__(self):
-        return SparsePoly._summed(self.nvars, [(e, -c) for e, c in self.terms.items()])
+        return SparsePoly._summed(self.nvars, self.den, [(e, -c) for e, c in self.nums.items()])
 
     def __sub__(self, other):
-        if not isinstance(other, SparsePoly):
-            other = constant(self.nvars, other)
-        return self + (-other)
+        return self + (-self._poly(other))
+
+    def __rsub__(self, other):
+        return constant(self.nvars, other) + (-self)
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             scalar = _exactify(other)
-            return SparsePoly._summed(self.nvars, [(e, c * scalar) for e, c in self.terms.items()])
+            if self.den is not None and isinstance(scalar, Fraction):
+                den, coeffs, scalar = self.den * scalar.denominator, self.nums, scalar.numerator
+            else:
+                den, coeffs = None, self.terms
+            return SparsePoly._summed(self.nvars, den, [(e, c * scalar) for e, c in coeffs.items()])
         self._check(other)
-        return SparsePoly._summed(self.nvars, [
+        if self.den is None or other.den is None:
+            den, left, right = None, self.terms, other.terms
+        else:
+            den, left, right = self.den * other.den, self.nums, other.nums
+        return SparsePoly._summed(self.nvars, den, [
             (tuple(map(add, e1, e2)), c1 * c2)
-            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items()])
+            for e1, c1 in left.items() for e2, c2 in right.items()])
 
     __rmul__ = __mul__
 
     def diff(self, var: int) -> "SparsePoly":
-        return SparsePoly._summed(self.nvars, [
+        return SparsePoly._summed(self.nvars, self.den, [
             (expo[:var] + (expo[var] - 1,) + expo[var + 1:], coeff * expo[var])
-            for expo, coeff in self.terms.items() if expo[var]])
+            for expo, coeff in self.nums.items() if expo[var]])
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
-        if not isinstance(other, SparsePoly):
-            return (self - constant(self.nvars, other)).is_zero()
-        return self.nvars == other.nvars and (self - other).is_zero()
+        if isinstance(other, SparsePoly):
+            return self.nvars == other.nvars and (self - other).is_zero()
+        if isinstance(other, numbers.Number):
+            return (self - other).is_zero()
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        parts = []
-        for expo in sorted(self.terms, reverse=True):
-            parts.append(f"{self.terms[expo]}*x^{expo}")
-        return " + ".join(parts)
+        return " + ".join(f"{terms[expo]}*x^{expo}" for expo in sorted(terms, reverse=True))
 
 
 def constant(nvars: int, value) -> SparsePoly:

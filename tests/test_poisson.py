@@ -1,11 +1,13 @@
 """Canonical and rotational brackets, rigid-body dynamics."""
 
 import io
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from liequant import poisson
 from liequant.errors import DomainError
 from liequant.poisson import (
     J1,
@@ -418,3 +420,166 @@ class TestAgainstReference:
             poly_pq({(1, -1): 1})
         with pytest.raises(DomainError, match="bad_exponent"):
             poly_j({(1, 0): 1})
+
+
+# ---------------------------------------------------------------------------
+# Exact coefficients as integer numerators over one reduced denominator
+
+
+BIG_PRIMES = (2**31 - 1, 1_000_000_007, 2**61 - 1)
+
+
+def check_reduced(poly):
+    """An exact polynomial keeps one positive denominator, coprime to its int numerators."""
+    if poly.den is not None:
+        assert type(poly.den) is int and poly.den > 0
+        assert all(type(n) is int for n in poly.nums.values())
+        assert math.gcd(poly.den, *poly.nums.values()) == 1
+
+
+def reference_constant(nvars, value):
+    return ReferencePoly(nvars, {(0,) * nvars: value})
+
+
+class TestIntegerNumerators:
+    def test_operations_against_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        exact = st.one_of(st.integers(-9, 9), st.builds(
+            Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 6, *BIG_PRIMES))))
+        inexact = st.floats(-4.0, 4.0)
+        coeffs = {"exact": exact, "float": inexact, "mixed": st.one_of(exact, inexact)}
+        scalars = st.one_of(st.just(0), exact, inexact)
+
+        def br(x, y):
+            return bracket(x, y) if isinstance(x, SparsePoly) else reference_bracket(x, y)
+
+        def with_scalar(op):
+            # a scalar on a ReferencePoly is its constant polynomial
+            return lambda x, s: op(x, s if isinstance(x, SparsePoly) else reference_constant(x.nvars, s))
+
+        ops = {  # name: (polynomial operands, strategy of the extra operand given nvars, function)
+            "add": (2, None, lambda x, y: x + y),
+            "sub": (2, None, lambda x, y: x - y),
+            "mul": (2, None, lambda x, y: x * y),
+            "bracket": (2, None, br),
+            "neg": (1, None, lambda x: -x),
+            "cancel": (1, None, lambda x: x - x),
+            "jacobi": (3, None, lambda f, g, h: br(f, br(g, h)) + br(g, br(h, f)) + br(h, br(f, g))),
+            "diff": (1, lambda nvars: st.integers(0, nvars - 1), lambda x, var: x.diff(var)),
+            "scalar": (1, lambda nvars: scalars, with_scalar(lambda x, s: x * s)),
+            "rscalar": (1, lambda nvars: scalars, with_scalar(lambda x, s: s * x)),
+            "radd": (1, lambda nvars: scalars, with_scalar(lambda x, s: s + x)),
+            "rsub": (1, lambda nvars: scalars, with_scalar(lambda x, s: s - x)),
+        }
+
+        @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+        @hypothesis.given(st.data())
+        def run(data):
+            draw = data.draw
+            nvars = draw(st.sampled_from((2, 3)))
+            expos = st.tuples(*[st.integers(0, 3)] * nvars)
+            pool = []
+            for _ in range(3):
+                terms = draw(st.dictionaries(expos, coeffs[draw(st.sampled_from(sorted(coeffs)))],
+                                             min_size=1, max_size=4))
+                pool.append((SparsePoly(nvars, terms), ReferencePoly(nvars, terms)))
+            for _ in range(6):
+                arity, extra, fn = ops[draw(st.sampled_from(sorted(ops)))]
+                args = [pool[draw(st.integers(0, len(pool) - 1))] for _ in range(arity)]
+                more = [draw(extra(nvars))] if extra else []
+                poly, ref = fn(*(a for a, _ in args), *more), fn(*(r for _, r in args), *more)
+                assert same_terms(poly, ref)
+                check_reduced(poly)
+                if 0 < len(poly.nums) <= 24:
+                    pool.append((poly, ref))
+
+        run()
+
+    def test_brackets_do_no_fraction_arithmetic(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        triples = [[SparsePoly(nvars, workload_poly(rng, nvars)) for _ in range(3)]
+                   for nvars in (2, 3) for _ in range(4)]
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(Fraction, name, lambda *args: pytest.fail("Fraction arithmetic"))
+        for f, g, h in triples:
+            inner = bracket(g, h)
+            assert not bracket(f, inner).is_zero()
+            assert (bracket(f, inner) + bracket(g, bracket(h, f)) + bracket(h, bracket(f, g))).is_zero()
+        assert lie_poisson_so3(J_SQUARED * Fraction(1, 3), J1 * J2 * Fraction(5, 7)).is_zero()
+
+    def test_reduced_after_every_operation(self):
+        x = J_SQUARED * Fraction(1, 6)
+        power = poly_j({(0, 0, 0): 1})
+        for k in range(1, 7):
+            power = power * x
+            check_reduced(power)
+            assert power.den == 6**k
+            whole = power * 6**k
+            check_reduced(whole)
+            assert whole.den == 1 and whole.terms[(2 * k, 0, 0)] == 1
+        half = P * Fraction(1, 2)
+        for poly, den in ((half + half, 1), (half - half, 1), (-half, 2), (P * P * P * Fraction(1, 3), 3),
+                          ((P * P * P * Fraction(1, 3)).diff(0), 1), (half * Fraction(2, 3), 3),
+                          (half * 0, 1), (1 - half, 2), (Fraction(1, 2) + half, 2)):
+            check_reduced(poly)
+            assert poly.den == den
+
+    def test_sums_over_one_denominator_scale_nothing(self, monkeypatch):
+        # a sum runs over the least common denominator, so equal denominators add raw numerators
+        prime = BIG_PRIMES[-1]
+        f = poly_j({(1, 0, 0): Fraction(3, prime), (0, 1, 0): Fraction(1, prime)})
+        g = poly_j({(1, 0, 0): Fraction(-2, prime), (0, 0, 1): Fraction(5, prime)})
+        summed, sum_terms = [], poisson._sum_terms
+
+        def spy(items):
+            items = list(items)
+            summed.extend(num for _, num in items)
+            return sum_terms(items)
+        monkeypatch.setattr(poisson, "_sum_terms", spy)
+        assert (f + g).terms == {(1, 0, 0): Fraction(1, prime), (0, 1, 0): Fraction(1, prime),
+                                 (0, 0, 1): Fraction(5, prime)}
+        assert (f - g).den == prime and summed and max(map(abs, summed)) == 5
+
+    def test_numpy_integer_coefficients_are_exact(self):
+        x = poly_pq({(1, 0): np.int64(3_000_000_000)})
+        cube = x * x * x
+        assert cube.terms == {(3, 0): 27 * 10**27}
+        assert [type(c) for c in cube.terms.values()] == [Fraction]
+        assert (P * np.int64(2**62) * np.int64(4)).terms == {(1, 0): 2**64}
+        assert poly_pq({(0, 1): np.uint8(200), (1, 0): np.int32(-7)}) * 2 == 400 * Q - 14 * P
+
+    @pytest.mark.parametrize("expo", [(1.5, 0), (2.0, 0), (Fraction(1), 0), ("1", 0), (1, None)])
+    def test_rejects_non_integer_exponents(self, expo):
+        with pytest.raises(DomainError, match="bad_exponent"):
+            poly_pq({expo: 1})
+
+    def test_integer_exponents_are_python_ints(self):
+        poly = poly_pq({(np.int64(2), True): 3, (np.uint8(1), np.int32(0)): 1})
+        assert poly.terms == {(2, 1): 3, (1, 0): 1}
+        assert all(type(e) is int for expo in poly.terms for e in expo)
+        assert poly.diff(0).terms == {(1, 1): 6, (0, 0): 1}
+
+    @pytest.mark.parametrize("value", [1, -3, Fraction(2, 7), 0.5, -2.25])
+    def test_reflected_add_and_sub(self, value):
+        f = {(1, 0): 1, (0, 2): Fraction(-1, 3)}
+        poly, ref = poly_pq(f), ReferencePoly(2, f)
+        assert same_terms(value + poly, reference_constant(2, value) + ref)
+        assert same_terms(value - poly, reference_constant(2, value) - ref)
+        assert value + poly == poly + value and value - poly == -(poly - value)
+
+    def test_equality_with_other_types(self):
+        for other in ("x", None, [1], object()):
+            assert (P == other) is False and (P != other) is True
+        assert P == P * 1 and P + 1 == 1 + P and poly_pq() == 0 and poly_pq() == 0.0
+
+    def test_terms_is_a_new_dict(self):
+        poly = P * Fraction(1, 2) + Q
+        terms = poly.terms
+        assert terms is not poly.terms and terms == poly.terms
+        terms[(0, 0)] = 5
+        del terms[(1, 0)]
+        assert poly.terms == {(1, 0): Fraction(1, 2), (0, 1): 1}
+        floats = P * 0.5
+        floats.terms.clear()
+        assert floats.terms == {(1, 0): 0.5}
