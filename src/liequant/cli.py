@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS, MAX_ORDER, MAX_SAMPLES, DomainError,
-                     check_cap)
+                     check_cap, check_count)
 
 
 def _jdump(obj) -> str:
@@ -124,15 +124,7 @@ def _seed(args) -> int:
     if seed is None:
         env = os.environ.get("LIEQUANT_SEED") or "0"
         seed = int(env) if env.isdecimal() else -1  # not isdigit(): int() rejects "²"
-    if seed < 0:
-        raise DomainError("bad_argument", "the seed must be a non-negative integer")
-    return seed
-
-
-def _check_count(count: int, what: str) -> None:
-    if count < 0:
-        raise DomainError("bad_argument", f"{what} must be non-negative")
-    check_cap(count, MAX_SAMPLES, what)
+    return check_count(seed, "the seed")
 
 
 def _constants(args):
@@ -175,7 +167,7 @@ def _cmd_lift(args) -> str:
 
 def _cmd_cover_check(args) -> str:
     from .rotations import _check_so3, _cover, _su2_product
-    _check_count(args.samples, "--samples")
+    check_count(args.samples, "--samples", cap=MAX_SAMPLES)
     # the 4-normal draws of 2n successive haar_su2 calls, u1 then u2 of each sample
     v = np.random.default_rng(_seed(args)).standard_normal((args.samples, 2, 4))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -213,7 +205,6 @@ def _cmd_algebra_verify(args) -> str:
 
 def _cmd_rigidbody(args) -> str:
     from .poisson import RigidBodyState, integrate_rigid_body, trajectory_csv
-    check_cap(args.steps, MAX_SAMPLES, "--steps")  # a negative count is the integrator's bad_steps
     state = RigidBodyState(tuple(args.j0), tuple(args.inertia))
     return trajectory_csv(integrate_rigid_body(state, args.dt, args.steps))
 
@@ -300,7 +291,7 @@ def _cmd_gibbs(args) -> str:
 def _cmd_blackbody(args) -> str:
     from .thermal import planck_density
     consts = _constants(args)
-    _check_count(args.points, "--points")
+    check_count(args.points, "--points", cap=MAX_SAMPLES)
     if not (0 < args.omega_min < math.inf and 0 < args.omega_max < math.inf):
         raise DomainError("bad_argument", "the frequency range must be positive and finite")
     lines = ["omega,f_omega"]
@@ -332,6 +323,7 @@ def _cmd_rydberg(args) -> str:
 
 def _cmd_assign(args) -> str:
     from . import spectra
+    # the library caps both too; here they come before the input files are read
     check_cap(args.starts, MAX_ASSIGN_STARTS, "--starts")
     check_cap(args.max_iters, MAX_ASSIGN_ITERS, "--max-iters")
     try:

@@ -1,12 +1,15 @@
 """Library-wide error type, the guards that raise it, and the size caps.
 
 A bad size, a bad parameter or a value past the float range becomes a
-``DomainError`` through one of the helpers below.  numpy is imported
-inside them, so ``import liequant`` alone does not load it.
+``DomainError`` through one of the helpers below; every count and every
+su(2) spin is read by ``check_count`` and ``check_spin``.  numpy and
+``fractions`` are imported inside them, so ``import liequant`` alone
+does not load them.
 """
 
 import cmath
 import math
+import operator
 
 # Size caps, each with its largest admitted run: argv (other options at their CLI
 # defaults), wall time and peak RSS of the process, one BLAS thread on a 2-core VM
@@ -38,8 +41,33 @@ class DomainError(ValueError):
 
 def check_cap(size, cap, what: str, token: str = "size_cap") -> None:
     """Raise ``token`` when ``size`` exceeds ``cap``; call it before the allocation it bounds."""
-    if size > cap:
-        raise DomainError(token, f"{what} must be at most {cap}, got {size}")
+    if size > cap:  # the message leaves out ``size``: str() refuses an int of 4,300 digits or more
+        raise DomainError(token, f"{what} must be at most {cap}")
+
+
+def check_count(value, what: str, least: int = 0, cap=math.inf, token: str = "bad_argument") -> int:
+    """``value`` as an int, read by ``operator.index`` (a float, even 3.0 or NaN, or a str raises
+    ``TypeError``); ``token`` below ``least`` and ``size_cap`` past ``cap``."""
+    count = operator.index(value)
+    if count < least:
+        raise DomainError(token, f"{what} must be at least {least}")
+    check_cap(count, cap, what)
+    return count
+
+
+def check_spin(j, cap=math.inf) -> int:
+    """2j as an int for a spin ``j`` that ``Fraction`` reads (1, Fraction(3, 2), 2.5, "5/2"):
+    ``bad_spin`` unless it is a nonnegative half-integer, ``size_cap`` when 2j+1 exceeds ``cap``."""
+    from fractions import Fraction
+    try:
+        twoj = 2 * Fraction(j)
+        ok = twoj.denominator == 1 and twoj >= 0
+    except (ValueError, OverflowError, ZeroDivisionError):  # NaN, infinity, "1/0", "x"
+        ok = False
+    if not ok:
+        raise DomainError("bad_spin", "spin must be a nonnegative half-integer")
+    check_cap(twoj + 1, cap, "2j+1")
+    return int(twoj)
 
 
 def check_positive(value, token: str, what: str) -> None:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_MODES, DomainError, check_cap, check_positive
+from .errors import MAX_MODES, DomainError, check_cap, check_count, check_positive
 
 __all__ = [
     "epsilon",
@@ -83,9 +83,7 @@ def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:
     different scale multiplies the creation operators, turning the mixed
     anticommutator into {a_j, a*_k} = hbar delta_jk.
     """
-    if n_modes < 1:
-        raise DomainError("size_cap", "n_modes must be at least 1")
-    check_cap(n_modes, MAX_MODES, "n_modes")
+    n_modes = check_count(n_modes, "n_modes", 1, MAX_MODES, "size_cap")
     check_positive(hbar, "bad_hbar", "hbar")
     occ = np.arange(2**n_modes) >> np.arange(n_modes)[:, None] & 1
     below = np.cumsum(occ, axis=0) - occ  # occupied modes below j
@@ -113,6 +111,6 @@ def car_residual(f: FermionFock) -> float:
 
 def number_spectrum(f: FermionFock, j: int) -> np.ndarray:
     """Sorted eigenvalues of n_j = a*_j a_j / hbar (occupation of mode j)."""
-    if not 1 <= j <= f.n_modes:
-        raise DomainError("bad_mode", f"mode must be in 1..{f.n_modes}")
+    j = check_count(j, "mode", 1, token="bad_mode")
+    check_cap(j, f.n_modes, "mode", "bad_mode")
     return np.sort(np.abs(f.signs[j - 1])).astype(float)

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_LEVELS, DomainError, check_cap, check_finite, check_positive, finite
+from .errors import (MAX_LEVELS, DomainError, check_cap, check_count, check_finite, check_positive,
+                     finite)
 from .matrixcore import kron_embed
 
 __all__ = [
@@ -36,12 +38,6 @@ __all__ = [
     "build_highest_weight",
     "case2_alpha",
 ]
-
-
-def _check_levels(dim: int, least: int, token: str, what: str) -> None:
-    if dim < least:
-        raise DomainError(token, f"{what} must be at least {least}")
-    check_cap(dim, MAX_LEVELS, what)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -107,7 +103,7 @@ class BosonFock:
 
 def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
     """Truncated level space; the ladder matrices are built on first access."""
-    _check_levels(dim, 2, "too_small", "dim")
+    dim = check_count(dim, "dim", 2, MAX_LEVELS, "too_small")
     check_positive(hbar, "bad_hbar", "hbar")
     return BosonFock(dim, float(hbar))
 
@@ -135,10 +131,8 @@ def oscillator_spectrum(f: BosonFock, omega: float, count: int) -> np.ndarray:
     top level is excluded as a truncation artifact, so ``count`` may be at
     most ``dim - 1``.
     """
-    if count < 0:
-        raise DomainError("bad_argument", "count must be non-negative")
-    if count > f.dim - 1:
-        raise DomainError("truncation", f"only {f.dim - 1} levels are trustworthy")
+    count = check_count(count, "count")
+    check_cap(count, f.dim - 1, "count (trustworthy levels)", "truncation")
     return finite(lambda: np.sort(omega * (f.hbar * np.arange(f.dim - 1))), "omega hbar k")[:count]
 
 
@@ -151,7 +145,7 @@ class CoherentState:
     dim: int
 
     def __post_init__(self):
-        _check_levels(self.dim, 0, "too_small", "dim")
+        check_count(self.dim, "dim", 0, MAX_LEVELS, "too_small")
         if not (cmath.isfinite(self.lam) and cmath.isfinite(self.z)):
             raise DomainError("not_finite", "lam and z must be finite")
 
@@ -241,7 +235,7 @@ def build_highest_weight(d: HWData, max_levels: int):
 
     Returns ``(a, a_dag, h, verdict)``.
     """
-    _check_levels(max_levels, 1, "bad_levels", "max_levels")
+    max_levels = check_count(max_levels, "max_levels", 1, MAX_LEVELS, "bad_levels")
     j = np.arange(1, max_levels + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         c = _lowering_coefficient(d, j)
@@ -260,6 +254,9 @@ def build_highest_weight(d: HWData, max_levels: int):
 
 def case2_alpha(j_m: int, u: float, v: float, hbar: float = 1.0) -> float:
     """The u < 0 weight for which the ladder closes after j_m + 1 levels."""
-    if u >= 0:
+    j_m = check_count(j_m, "j_m", 0, sys.float_info.max)  # past it, / raises OverflowError
+    check_positive(hbar, "bad_hbar", "hbar")
+    if not u < 0:  # NaN too
         raise DomainError("bad_case", "finite ladders require u < 0")
-    return -(j_m + 1) / 2.0 - v / (hbar * u)
+    # v / (hbar u) in numpy, so that hbar u underflowing to 0 is not_finite, not ZeroDivisionError
+    return float(finite(lambda: -(j_m + 1) / 2.0 - np.float64(v) / (hbar * u), "alpha"))

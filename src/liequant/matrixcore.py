@@ -73,7 +73,7 @@ def commutator(a, b) -> np.ndarray:
     a = as_square(a, "a")
     b = as_square(b, "b")
     _same_shape(a, b)
-    return a @ b - b @ a
+    return finite(lambda: a @ b - b @ a, "the commutator")
 
 
 def anticommutator(a, b) -> np.ndarray:
@@ -81,7 +81,7 @@ def anticommutator(a, b) -> np.ndarray:
     a = as_square(a, "a")
     b = as_square(b, "b")
     _same_shape(a, b)
-    return a @ b + b @ a
+    return finite(lambda: a @ b + b @ a, "the anticommutator")
 
 
 def kron_embed(op, slot: int, dims) -> np.ndarray:
@@ -120,25 +120,32 @@ def expm(a) -> np.ndarray:
     return finite(lambda: np.linalg.matrix_power(result, 2**squarings), "the exponential")
 
 
+def _within(defect, bound) -> bool:
+    """True iff every entry of ``defect()`` is at most ``bound`` in modulus; one past the
+    float range is not, and overflow gives no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        worst = np.max(np.abs(defect()))
+    return bool(np.isfinite(worst) and worst <= bound)
+
+
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``a`` equals its conjugate transpose entrywise within tol."""
     a = as_square(a)
     scale = max(1.0, float(np.max(np.abs(a))))
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol.bound(scale))
+    return _within(lambda: a - a.conj().T, tol.bound(scale))
 
 
 def is_antihermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``a + a*`` vanishes entrywise within tol."""
     a = as_square(a)
     scale = max(1.0, float(np.max(np.abs(a))))
-    return bool(np.max(np.abs(a + a.conj().T)) <= tol.bound(scale))
+    return _within(lambda: a + a.conj().T, tol.bound(scale))
 
 
 def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``a* a = 1`` entrywise within tol."""
     a = as_square(a)
-    defect = a.conj().T @ a - np.eye(a.shape[0])
-    return bool(np.max(np.abs(defect)) <= tol.bound(1.0))
+    return _within(lambda: a.conj().T @ a - np.eye(a.shape[0]), tol.bound(1.0))
 
 
 def is_special_orthogonal(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -147,8 +154,7 @@ def is_special_orthogonal(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     if np.max(np.abs(a.imag)) > tol.bound(1.0):
         return False
     r = a.real
-    defect = r.T @ r - np.eye(r.shape[0])
-    if np.max(np.abs(defect)) > tol.bound(1.0):
+    if not _within(lambda: r.T @ r - np.eye(r.shape[0]), tol.bound(1.0)):
         return False
     return bool(abs(np.linalg.det(r) - 1.0) <= tol.bound(1.0))
 

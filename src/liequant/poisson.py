@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, index
 
-from .errors import DomainError
+from .errors import MAX_SAMPLES, DomainError, check_count
 
 __all__ = [
     "SparsePoly",
@@ -70,6 +70,15 @@ def _scaled(poly: "SparsePoly", den: int):
     if scale == 1:
         return poly.nums.items()
     return ((expo, num * scale) for expo, num in poly.nums.items())
+
+
+def _numeric(op):
+    """``op`` for an operand that is a ``SparsePoly`` or a number, else ``NotImplemented``."""
+    def checked(self, other):
+        if isinstance(other, (SparsePoly, numbers.Number)):
+            return op(self, other)
+        return NotImplemented
+    return checked
 
 
 class SparsePoly:
@@ -134,6 +143,7 @@ class SparsePoly:
     def _poly(self, other) -> "SparsePoly":
         return other if isinstance(other, SparsePoly) else constant(self.nvars, other)
 
+    @_numeric
     def __add__(self, other):
         other = self._poly(other)
         self._check(other)
@@ -142,18 +152,22 @@ class SparsePoly:
         den = math.lcm(self.den, other.den)
         return SparsePoly._summed(self.nvars, den, chain(_scaled(self, den), _scaled(other, den)))
 
+    @_numeric
     def __radd__(self, other):
         return constant(self.nvars, other) + self
 
     def __neg__(self):
         return SparsePoly._summed(self.nvars, self.den, [(e, -c) for e, c in self.nums.items()])
 
+    @_numeric
     def __sub__(self, other):
         return self + (-self._poly(other))
 
+    @_numeric
     def __rsub__(self, other):
         return constant(self.nvars, other) + (-self)
 
+    @_numeric
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
             scalar = _exactify(other)
@@ -181,12 +195,11 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self.nums
 
+    @_numeric
     def __eq__(self, other):
-        if isinstance(other, SparsePoly):
-            return self.nvars == other.nvars and (self - other).is_zero()
-        if isinstance(other, numbers.Number):
-            return (self - other).is_zero()
-        return NotImplemented
+        if isinstance(other, SparsePoly) and self.nvars != other.nvars:
+            return False
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -339,11 +352,10 @@ def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int) -> RigidBody
 
     Step k is stamped t0 + k*dt, so the clock carries no accumulated
     roundoff.  A negative dt integrates backwards in time; a zero or
-    non-finite dt is rejected with ``bad_dt``, and a trajectory that
-    leaves the float range with ``not_finite``.
+    non-finite dt is rejected with ``bad_dt``, more than ``MAX_SAMPLES``
+    steps with ``size_cap``, and a trajectory leaving the float range with ``not_finite``.
     """
-    if steps < 0:
-        raise DomainError("bad_steps", "steps must be nonnegative")
+    steps = check_count(steps, "steps", 0, MAX_SAMPLES, "bad_steps")
     if not math.isfinite(dt) or dt == 0:
         raise DomainError("bad_dt", "dt must be finite and nonzero")
     rhs, half, sixth, t0 = _rhs(s0.I), 0.5 * dt, dt / 6.0, s0.t

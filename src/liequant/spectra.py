@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (MAX_ASSIGN_LINES, MAX_ASSIGN_TERMS, MAX_KMAX, DomainError, check_cap,
-                     check_positive, finite)
+from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_LINES, MAX_ASSIGN_STARTS, MAX_ASSIGN_TERMS,
+                     MAX_KMAX, DomainError, check_cap, check_count, check_positive, finite)
 
 __all__ = [
     "EnergyLevels",
@@ -96,9 +96,10 @@ def difference_spectrum(levels: EnergyLevels, hbar: float = 1.0) -> np.ndarray:
     """All positive transition frequencies (E_j - E_k)/hbar, ascending."""
     if len(levels) < 2:
         raise DomainError("too_few", "need at least two levels")
+    check_positive(hbar, "bad_hbar", "hbar")
     e = levels.values
     j, k = np.tril_indices(e.size, -1)
-    return np.sort((e[j] - e[k]) / hbar)
+    return np.sort(finite(lambda: (e[j] - e[k]) / hbar, "a transition frequency"))
 
 
 def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
@@ -107,9 +108,7 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
     Returns a list of (k, l, value) triples; values carry the unit of
     ``r_h`` (1/m by default).
     """
-    if k_max < 2:
-        raise DomainError("too_few", "k_max must be at least 2")
-    check_cap(k_max, MAX_KMAX, "k_max")
+    k_max = check_count(k_max, "k_max", 2, MAX_KMAX, "too_few")
     if not np.isfinite(r_h):
         raise DomainError("bad_argument", "r_h must be finite")
     k, l = np.triu_indices(k_max, 1)
@@ -190,14 +189,13 @@ def assign_lines(data: SpectrumDataset, initial: EnergyLevels, hbar: float = 1.0
 
     Stops when the assignment repeats or after ``max_iters`` rounds,
     whichever comes first; the solution records which criterion fired.
-    More than ``MAX_ASSIGN_LINES`` lines, or ``MAX_ASSIGN_TERMS`` lines x
-    level pairs, raise ``size_cap``; a line whose hbar w, 1/(hbar w) or
-    refit row scale sqrt(q)/(hbar w) leaves the float range raises ``not_finite``.
+    More than ``MAX_ASSIGN_ITERS`` rounds, ``MAX_ASSIGN_LINES`` lines, or ``MAX_ASSIGN_TERMS``
+    lines x level pairs, raise ``size_cap``; a line whose hbar w, 1/(hbar w) or refit row
+    scale sqrt(q)/(hbar w) leaves the float range raises ``not_finite``.
     """
     if len(initial) < 2:
         raise DomainError("too_few", "need at least two trial levels")
-    if max_iters < 1:
-        raise DomainError("bad_iters", "max_iters must be at least 1")
+    max_iters = check_count(max_iters, "max_iters", 1, MAX_ASSIGN_ITERS, "bad_iters")
     check_positive(hbar, "bad_hbar", "hbar")
     n = len(initial)
     check_cap(len(data), MAX_ASSIGN_LINES, "lines")  # before any term array
@@ -234,10 +232,9 @@ def assign_lines_multistart(data: SpectrumDataset, initial: EnergyLevels,
                             hbar: float = 1.0, max_iters: int = 100,
                             n_starts: int = 1, scale: float = 0.01,
                             rng=None) -> AssignmentSolution:
-    """Best of ``n_starts`` solves; starts beyond the first perturb the
-    trial levels by centered Gaussian noise of the given scale."""
-    if n_starts < 1:
-        raise DomainError("bad_iters", "need at least one start")
+    """Best of ``n_starts`` solves, at most ``MAX_ASSIGN_STARTS``; starts beyond the
+    first perturb the trial levels by centered Gaussian noise of the given scale."""
+    n_starts = check_count(n_starts, "n_starts", 1, MAX_ASSIGN_STARTS, "bad_iters")
     if not 0 <= scale < np.inf:  # also rejects NaN
         raise DomainError("bad_argument", "scale must be non-negative and finite")
     if rng is None:

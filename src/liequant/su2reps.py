@@ -10,12 +10,12 @@ cascade and the reflection m -> -m fill in the rest of the block.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import MAX_DIM, DomainError, check_cap
+from .errors import MAX_DIM, DomainError, check_cap, check_spin
 from .liealg import _span_residual
 from .matrixcore import as_square, eig_hermitian
 
@@ -31,12 +31,7 @@ __all__ = [
 ]
 
 
-def _twice(j) -> int:
-    """Validate a (half-)integer spin and return 2j as an int."""
-    twoj = 2 * Fraction(j)
-    if twoj.denominator != 1 or twoj < 0:
-        raise DomainError("bad_spin", f"spin must be a nonnegative half-integer, got {j}")
-    return int(twoj)
+_SPINOR_DIM = 1030  # the largest 2s+1 whose spinor metric terms binom(2s, k) are floats
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,8 @@ class IrrepDj:
 
 def build_irrep(j) -> IrrepDj:
     """Spin-j matrices with t3 = diag(j, j-1, ..., -j) and L- = (L+)*."""
-    twoj = _twice(j)
+    twoj = check_spin(j, MAX_DIM)
     dim = twoj + 1
-    check_cap(dim, MAX_DIM, "2j+1")
     jj = twoj / 2.0
     t3 = np.diag([jj - i for i in range(dim)]).astype(complex)
     lplus = np.diag(_raising(twoj), 1).astype(complex)
@@ -105,7 +99,7 @@ def clebsch_gordan(k, l):
     All blocks are lowered together down to m = 0 or 1/2, and
     <k -m1; l -m2 | j -m> = (-1)^(k+l-j) <k m1; l m2 | j m> gives the rest.
     """
-    twok, twol = _twice(k), _twice(l)
+    twok, twol = check_spin(k), check_spin(l)
     dim = (twok + 1) * (twol + 1)
     check_cap(dim, MAX_DIM, "(2k+1)(2l+1)")
     ck, cl = _raising(twok), _raising(twol)
@@ -150,7 +144,7 @@ def spinor_inner(x, y, s) -> complex:
     <pi_k|pi_l> = delta_kl / binom(2s, k); the two must agree, and the
     closed form is returned.
     """
-    twos = _twice(s)
+    twos = check_spin(s, _SPINOR_DIM)
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if x.shape != (2,) or y.shape != (2,):
@@ -168,13 +162,15 @@ def spinor_inner(x, y, s) -> complex:
 
 def spinor_norm_constant(s) -> float:
     """Normalization pi^2 / ((2s+1)(2s+2)) of the invariant disk measure."""
-    twos = _twice(s)
-    return math.pi**2 / ((twos + 1) * (twos + 2))
+    twos = check_spin(s)
+    denominator = (twos + 1) * (twos + 2)
+    check_cap(denominator, sys.float_info.max, "(2s+1)(2s+2)")  # past it, / raises OverflowError
+    return math.pi**2 / denominator
 
 
 def spinor_metric(s) -> np.ndarray:
     """Diagonal monomial norms <pi_k|pi_k> = 1/binom(2s, k), k = 0..2s."""
-    twos = _twice(s)
+    twos = check_spin(s, _SPINOR_DIM)
     return np.array([1.0 / math.comb(twos, k) for k in range(twos + 1)])
 
 

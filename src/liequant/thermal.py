@@ -118,13 +118,18 @@ def entropy_value(state: GibbsState, kbar: float = 1.0) -> float:
 
 def schottky_capacity(e_gap: float, temperature: float,
                       consts: PhysicalConstants = NATURAL_CONSTANTS) -> float:
-    """Two-level heat capacity C = (E^2/kbar T^2) e^x / (e^x+1)^2, x = E/kbar T."""
+    """Two-level heat capacity C = kbar x^2 e^x / (e^x+1)^2, x = E/kbar T.
+
+    A non-finite E raises ``not_finite``; C is 0.0 where e^x/(e^x+1)^2 underflows.
+    """
     check_positive(temperature, "bad_temperature", "T")
-    x = e_gap / (consts.kbar * temperature)
+    check_finite(e_gap, "e_gap")
+    # x in two divisions, as kbar T may underflow to 0; floats, as a numpy scalar would warn
+    x = float(e_gap) / consts.kbar / float(temperature)
     # e^x/(e^x+1)^2 = (2 cosh(x/2))^{-2}, computed via decaying exponentials
     t = math.exp(-abs(x) / 2.0)
     sech_half = t / (1.0 + t * t)
-    return (e_gap**2 / (consts.kbar * temperature**2)) * sech_half**2
+    return consts.kbar * (x * sech_half) ** 2 if sech_half else 0.0  # x may be inf
 
 
 def generating_functional(f) -> float:

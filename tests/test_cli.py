@@ -481,6 +481,9 @@ class TestBadInput:
         *(({"d.csv": "omega,weight\n1.0,1.0\n", "l.json": '{"levels": [0, 1]}'},
            ("assign", "--data", "d.csv", "--levels", "l.json", starts), "bad_iters")
           for starts in ("--starts=0", "--starts=-5")),
+        # the integrator caps --steps, after the state is read: this gave size_cap
+        ({}, ("rigidbody", "--inertia=-1,2,3", "--j0", "1,1,1", "--steps", "100001"),
+         "bad_inertia"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""

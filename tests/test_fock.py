@@ -558,3 +558,38 @@ class TestRangeAndCaps:
                 coherent_inner(CoherentState(1.0, 1.0, 0), CoherentState(1.0, 1.0, 0))
         with pytest.raises(DomainError, match="too_small"):
             CoherentState(1.0, 0.0, -1)
+
+
+class TestCase2Alpha:
+    def test_hbar_zero_is_bad_hbar(self):
+        with pytest.raises(DomainError, match="bad_hbar"):  # was ZeroDivisionError
+            case2_alpha(2, -1.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("u", [math.nan, 0.0, 1.0])
+    def test_u_must_be_negative(self, u):
+        with pytest.raises(DomainError, match="bad_case"):  # NaN returned nan
+            case2_alpha(2, u, 0.5)
+
+    def test_j_m_is_a_count(self):
+        with pytest.raises(TypeError):
+            case2_alpha(2.0, -1.0, 0.5)
+        with pytest.raises(DomainError, match="bad_argument"):
+            case2_alpha(-1, -1.0, 0.5)
+        assert case2_alpha(MAX_LEVELS, -1.0, 0.0) == -(MAX_LEVELS + 1) / 2  # no ladder is built
+        assert case2_alpha(10**308, -1.0, 0.0) == -(10**308 + 1) / 2.0
+        with pytest.raises(DomainError, match="size_cap"):  # 10**400 raised OverflowError
+            case2_alpha(10**309, -1.0, 0.0)
+
+    def test_hbar_u_underflow_is_not_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not_finite"):  # was ZeroDivisionError
+                case2_alpha(2, -1e-200, 0.5, 1e-200)
+
+    def test_bits_unchanged(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            j_m = int(rng.integers(0, 50))
+            u, v, hbar = -rng.uniform(0.1, 3.0), rng.normal(), rng.uniform(0.1, 3.0)
+            got = case2_alpha(j_m, u, v, hbar)
+            assert type(got) is float and got == -(j_m + 1) / 2.0 - v / (hbar * u)

@@ -635,3 +635,10 @@ class TestWeyl:
             a = np.array([[0, alpha, gamma], [0, 0, beta], [0, 0, 0]], dtype=complex)
             b = np.array([[0, delta, gamma], [0, 0, -alpha], [0, 0, 0]], dtype=complex)
             assert weyl_check(a, b)
+
+
+def test_weyl_check_past_the_float_range_is_not_finite():
+    # the commutator of entries 1e200 overflowed with a RuntimeWarning
+    big = np.full((3, 3), 1e200)
+    with pytest.raises(DomainError, match="not_finite"):
+        weyl_check(big, big.T)

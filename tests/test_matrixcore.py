@@ -8,6 +8,7 @@ import pytest
 from liequant.errors import DomainError
 from liequant.matrixcore import (
     Tolerance,
+    anticommutator,
     commutator,
     eig_hermitian,
     expm,
@@ -141,6 +142,19 @@ class TestPredicates:
         assert not is_hermitian(1j * SIGMA2)
         assert is_antihermitian(1j * SIGMA1)
 
+    @pytest.mark.parametrize("predicate", [is_hermitian, is_antihermitian, is_unitary,
+                                           is_special_orthogonal])
+    def test_overflowing_defect_is_false_without_a_warning(self, predicate):
+        # a* a, a^T a and a - a* of entries 1e200 overflowed with a RuntimeWarning
+        assert not predicate(np.array([[1e200, 1e200], [-1e200, 1e200]]))
+
+    def test_infinite_defect_fails_an_infinite_bound(self):
+        # |z| = 2.1e308 made the bound infinite, and a defect of 3e308i passed it
+        z = 1.5e308 + 1.5e308j
+        assert not is_hermitian(np.array([[0, z], [z, 0]]))
+        assert not is_antihermitian(np.array([[0, z], [z.conjugate(), 0]]))
+        assert is_hermitian(np.array([[0, z], [z.conjugate(), 0]]))
+
     def test_tolerance_validation(self):
         with pytest.raises(DomainError):
             Tolerance(0.0, 0.0)
@@ -246,3 +260,12 @@ class TestEigHermitianOracle:
         w1, v1 = eig_hermitian(h)
         w2, v2 = eig_hermitian(h.copy())
         assert np.array_equal(w1, w2) and np.array_equal(v1, v2)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("product", [commutator, anticommutator])
+    def test_product_past_the_float_range_is_not_finite(self, product):
+        # a @ b of entries 1e200 overflowed with a RuntimeWarning and returned inf
+        big = np.full((3, 3), 1e200)
+        with pytest.raises(DomainError, match="not_finite"):
+            product(big, big.T)

@@ -583,3 +583,35 @@ class TestIntegerNumerators:
         floats = P * 0.5
         floats.terms.clear()
         assert floats.terms == {(1, 0): 0.5}
+
+
+class TestOperands:
+    """Arithmetic takes a SparsePoly or a number; anything else is a TypeError at the operator."""
+
+    @pytest.mark.parametrize("operate", [
+        lambda: Q + "x",  # returned a polynomial with a str coefficient
+        lambda: "x" + Q,
+        lambda: Q - "x",
+        lambda: "x" - Q,  # returned a polynomial with a str coefficient
+        lambda: P * [1],  # failed deep in the term loop
+        lambda: [1] * P,
+        lambda: P * None,
+        lambda: P + (1, 2),
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "mul_none", "add_tuple"])
+    def test_other_operands_raise_type_error(self, operate):
+        with pytest.raises(TypeError):
+            operate()
+
+    @pytest.mark.parametrize("number", [2, Fraction(1, 3), 0.5, np.int64(3), np.float64(0.25),
+                                        True])
+    def test_numbers_are_constants(self, number):
+        c = poisson.constant(2, number)
+        assert Q + number == Q + c and number + Q == c + Q
+        assert Q - number == Q - c and number - Q == c - Q
+        assert Q * number == Q * c and number * Q == c * Q
+
+    def test_equality_with_other_operands_is_false(self):
+        assert Q.__eq__("x") is NotImplemented
+        assert Q != "x" and Q != [1] and Q != None  # noqa: E711
+        assert Q != poisson.poly_j({(0, 1, 0): 1})  # other variables
+        assert poisson.constant(2, 3) == 3 and 3 == poisson.constant(2, 3)

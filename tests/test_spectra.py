@@ -56,6 +56,17 @@ class TestDifferenceSpectrum:
         with pytest.raises(DomainError, match="too_few"):
             difference_spectrum(EnergyLevels([1.0]))
 
+    @pytest.mark.parametrize("hbar", [0.0, -0.0, -1.0, float("nan"), float("inf")])
+    def test_hbar_must_be_positive_and_finite(self, hbar):
+        # 0 divided with a RuntimeWarning, and NaN returned NaNs
+        with pytest.raises(DomainError, match="bad_hbar"):
+            difference_spectrum(EnergyLevels([0.0, 1.0, 3.0]), hbar)
+
+    def test_frequency_past_the_float_range_is_not_finite(self):
+        # 3 / 5e-324 overflowed with a RuntimeWarning
+        with pytest.raises(DomainError, match="not_finite"):
+            difference_spectrum(EnergyLevels([0.0, 1.0, 3.0]), 5e-324)
+
 
 class TestLevelMerge:
     """A level merges into the last kept one within 1e-12 of the larger magnitude."""

@@ -1,6 +1,7 @@
 """Spin-j irreducibles, tensor decomposition, spinor overlaps, branching."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from liequant.su2reps import (
     clebsch_gordan,
     decompose_restriction,
     spinor_inner,
+    spinor_metric,
     spinor_norm_constant,
 )
 
@@ -330,6 +332,23 @@ class TestSpinor:
             y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
             got = spinor_inner(x, y, Fraction(3, 2))
             assert abs(got - (np.conj(y) @ x) ** 3) <= 1e-10 * max(1.0, abs(got))
+
+    def test_metric_and_inner_run_to_the_end_of_the_float_range(self):
+        # 1/binom(1030, 515) would divide by an int past the float range
+        assert math.comb(1029, 514) <= sys.float_info.max < math.comb(1030, 515)
+        last = Fraction(1029, 2)
+        assert spinor_metric(last)[514] == 1.0 / math.comb(1029, 514)
+        assert spinor_inner([1, 0], [1, 0], last) == 1.0
+        for call in (spinor_metric, lambda s: spinor_inner([1, 0], [1, 0], s)):
+            with pytest.raises(DomainError, match="size_cap"):
+                call(last + HALF)
+
+    def test_norm_constant_runs_to_the_end_of_the_float_range(self):
+        # the spin caps of build_irrep and the metric do not apply to the closed form
+        assert spinor_norm_constant(1000) == math.pi**2 / (2001 * 2002)
+        assert spinor_norm_constant(10**153) == math.pi**2 / ((2 * 10**153 + 1) * (2 * 10**153 + 2))
+        with pytest.raises(DomainError, match="size_cap"):
+            spinor_norm_constant(10**154)  # (2s+1)(2s+2) is past the float range
 
 
 class TestRestriction:

@@ -245,6 +245,32 @@ class TestSchottky:
         with pytest.raises(DomainError, match="bad_temperature"):
             schottky_capacity(1.0, math.nan, NATURAL)
 
+    @pytest.mark.parametrize("e_gap, t", [(1.0, 1e-320), (1e308, 1.0), (1e150, 1e-160),
+                                          (np.float64(1e308), np.float64(1.0))])
+    def test_far_past_the_bump_is_zero(self, e_gap, t):
+        # raised ZeroDivisionError, OverflowError, and returned inf * 0 = nan
+        assert schottky_capacity(e_gap, t, NATURAL) == 0.0
+
+    def test_e_squared_past_the_float_range_scales(self):
+        # (1e160)^2 overflowed; C depends on x = E / kbar T alone once kbar = 1 is fixed
+        got = schottky_capacity(1e160, 1e159, NATURAL)
+        want = schottky_capacity(10.0, 1.0, NATURAL)
+        assert abs(got - want) <= 1e-14 * want
+
+    def test_kbar_t_underflow_keeps_the_value(self):
+        # kbar T = 1e-23 * 1e-301 underflows to 0, while x = E / kbar T is 10
+        consts = PhysicalConstants(kbar=1e-23, hbar=1.0, c=1.0)
+        got = schottky_capacity(1e-323, 1e-301, consts)
+        x = 1e-323 / 1e-23 / 1e-301
+        want = 1e-23 * x**2 * math.exp(x) / (math.exp(x) + 1.0) ** 2
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("e_gap", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gap_is_rejected(self, e_gap):
+        # NaN returned nan
+        with pytest.raises(DomainError, match="not_finite"):
+            schottky_capacity(e_gap, 1.0, NATURAL)
+
 
 class TestGeneratingFunctional:
     def test_zero_matrix(self):
