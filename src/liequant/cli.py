@@ -23,7 +23,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS, MAX_ORDER, MAX_SAMPLES, DomainError,
-                     check_cap, check_count)
+                     check_cap, check_count, check_positive)
 
 
 def _jdump(obj) -> str:
@@ -292,8 +292,8 @@ def _cmd_blackbody(args) -> str:
     from .thermal import planck_density
     consts = _constants(args)
     check_count(args.points, "--points", cap=MAX_SAMPLES)
-    if not (0 < args.omega_min < math.inf and 0 < args.omega_max < math.inf):
-        raise DomainError("bad_argument", "the frequency range must be positive and finite")
+    check_positive(args.omega_min, "bad_argument", "--omega-min")
+    check_positive(args.omega_max, "bad_argument", "--omega-max")
     lines = ["omega,f_omega"]
     for w in np.geomspace(args.omega_min, args.omega_max, args.points):
         f = planck_density(float(w), args.temperature, args.volume, consts)

@@ -1,10 +1,10 @@
 """Library-wide error type, the guards that raise it, and the size caps.
 
 A bad size, a bad parameter or a value past the float range becomes a
-``DomainError`` through one of the helpers below; every count and every
-su(2) spin is read by ``check_count`` and ``check_spin``.  numpy and
-``fractions`` are imported inside them, so ``import liequant`` alone
-does not load them.
+``DomainError`` through one of the helpers below; every count, spin and
+real parameter is read by ``check_count``, ``check_spin`` and ``check_real``
+(``check_positive`` is built on it).  numpy, ``numbers`` and ``fractions``
+are imported inside them, so ``import liequant`` alone does not load them.
 """
 
 import cmath
@@ -70,10 +70,25 @@ def check_spin(j, cap=math.inf) -> int:
     return int(twoj)
 
 
-def check_positive(value, token: str, what: str) -> None:
-    """Raise ``token`` unless 0 < value < inf, which NaN fails."""
-    if not 0 < value < math.inf:
+def check_real(value, what: str, token: str = "not_finite") -> float:
+    """``float(value)`` for a ``numbers.Real`` (a str, a complex or None raises ``TypeError``);
+    ``token`` for NaN, an infinity or an int past the float range."""
+    import numbers
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{what} must be a real number, not {type(value).__name__}")
+    try:
+        if math.isfinite(x := float(value)):
+            return x
+    except OverflowError:  # an int past the float range, such as 10**400
+        pass
+    raise DomainError(token, f"{what} must be finite")
+
+
+def check_positive(value, token: str, what: str) -> float:
+    """``check_real(value, what, token)``, and ``token`` unless it is above 0."""
+    if (x := check_real(value, what, token)) <= 0:
         raise DomainError(token, f"{what} must be positive and finite")
+    return x
 
 
 def check_finite(value, what: str):
@@ -82,7 +97,10 @@ def check_finite(value, what: str):
         import numpy as np
         ok = np.isfinite(value).all()
     else:  # a Python or numpy scalar, real or complex
-        ok = cmath.isfinite(value)
+        try:
+            ok = cmath.isfinite(value)
+        except OverflowError:  # an int past the float range
+            ok = False
     if not ok:
         raise DomainError("not_finite", f"{what} leaves the float range")
     return value

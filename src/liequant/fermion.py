@@ -84,12 +84,12 @@ def build_fermion(n_modes: int, hbar: float = 1.0) -> FermionFock:
     anticommutator into {a_j, a*_k} = hbar delta_jk.
     """
     n_modes = check_count(n_modes, "n_modes", 1, MAX_MODES, "size_cap")
-    check_positive(hbar, "bad_hbar", "hbar")
+    hbar = check_positive(hbar, "bad_hbar", "hbar")
     occ = np.arange(2**n_modes) >> np.arange(n_modes)[:, None] & 1
     below = np.cumsum(occ, axis=0) - occ  # occupied modes below j
     signs = (occ * (1 - 2 * (below & 1))).astype(np.int8)
     signs.flags.writeable = False
-    return FermionFock(n_modes, signs, float(hbar))
+    return FermionFock(n_modes, signs, hbar)
 
 
 def car_residual(f: FermionFock) -> float:

@@ -12,7 +12,6 @@ boundary, i.e. on levels 0..dim-2.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (MAX_LEVELS, DomainError, check_cap, check_count, check_finite, check_positive,
-                     finite)
+                     check_real, finite)
 from .matrixcore import kron_embed
 
 __all__ = [
@@ -104,8 +103,7 @@ class BosonFock:
 def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
     """Truncated level space; the ladder matrices are built on first access."""
     dim = check_count(dim, "dim", 2, MAX_LEVELS, "too_small")
-    check_positive(hbar, "bad_hbar", "hbar")
-    return BosonFock(dim, float(hbar))
+    return BosonFock(dim, check_positive(hbar, "bad_hbar", "hbar"))
 
 
 def tensor_modes(focks) -> list:
@@ -133,6 +131,7 @@ def oscillator_spectrum(f: BosonFock, omega: float, count: int) -> np.ndarray:
     """
     count = check_count(count, "count")
     check_cap(count, f.dim - 1, "count (trustworthy levels)", "truncation")
+    omega = check_real(omega, "omega")
     return finite(lambda: np.sort(omega * (f.hbar * np.arange(f.dim - 1))), "omega hbar k")[:count]
 
 
@@ -146,8 +145,8 @@ class CoherentState:
 
     def __post_init__(self):
         check_count(self.dim, "dim", 0, MAX_LEVELS, "too_small")
-        if not (cmath.isfinite(self.lam) and cmath.isfinite(self.z)):
-            raise DomainError("not_finite", "lam and z must be finite")
+        check_finite(self.lam, "lam")
+        check_finite(self.z, "z")
 
     @property
     def coeffs(self) -> np.ndarray:
@@ -176,13 +175,14 @@ def coherent_inner(s1: CoherentState, s2: CoherentState, hbar: float = 1.0) -> c
     """
     if s1.dim != s2.dim:
         raise DomainError("shape", "coherent states of different truncation")
-    _check_truncation(s1.dim, hbar, complex(s1.z), complex(s2.z))
+    _check_truncation(s1.dim, check_real(hbar, "hbar", "bad_hbar"), complex(s1.z), complex(s2.z))
     f = build_fock(s1.dim, hbar)
     return finite(lambda: f.inner(s1.coeffs, s2.coeffs), "the overlap")
 
 
 def evolve_coherent(s: CoherentState, omega: float, t: float) -> CoherentState:
     """Harmonic evolution moves |lam, z> to |lam, z e^{-i omega t}>."""
+    omega, t = check_real(omega, "omega"), check_real(t, "t")
     check_finite(omega * t, "omega t")
     return CoherentState(s.lam, s.z * np.exp(-1j * omega * t), s.dim)
 
@@ -202,8 +202,8 @@ class HWData:
 
     def __post_init__(self):
         check_positive(self.hbar, "bad_hbar", "hbar")
-        if not all(math.isfinite(x) for x in (self.u, self.v, self.alpha)):
-            raise DomainError("bad_argument", "u, v and alpha must be finite")
+        for name in ("u", "v", "alpha"):
+            check_real(getattr(self, name), name, "bad_argument")
 
 
 @dataclass(frozen=True)
@@ -255,8 +255,9 @@ def build_highest_weight(d: HWData, max_levels: int):
 def case2_alpha(j_m: int, u: float, v: float, hbar: float = 1.0) -> float:
     """The u < 0 weight for which the ladder closes after j_m + 1 levels."""
     j_m = check_count(j_m, "j_m", 0, sys.float_info.max)  # past it, / raises OverflowError
-    check_positive(hbar, "bad_hbar", "hbar")
-    if not u < 0:  # NaN too
+    hbar = check_positive(hbar, "bad_hbar", "hbar")
+    if not check_real(u, "u", "bad_case") < 0:  # NaN and inf too
         raise DomainError("bad_case", "finite ladders require u < 0")
+    v = check_real(v, "v")
     # v / (hbar u) in numpy, so that hbar u underflowing to 0 is not_finite, not ZeroDivisionError
     return float(finite(lambda: -(j_m + 1) / 2.0 - np.float64(v) / (hbar * u), "alpha"))

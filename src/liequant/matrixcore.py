@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_finite, finite
+from .errors import DomainError, check_finite, check_real, finite
 
 __all__ = [
     "Tolerance",
@@ -42,7 +42,8 @@ class Tolerance:
     rel_eps: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_eps < 0 or self.rel_eps < 0:
+        if check_real(self.abs_eps, "abs_eps", "bad_tolerance") < 0 \
+                or check_real(self.rel_eps, "rel_eps", "bad_tolerance") < 0:
             raise DomainError("bad_tolerance", "tolerances must be nonnegative")
         if self.abs_eps == 0 and self.rel_eps == 0:
             raise DomainError("bad_tolerance", "abs_eps and rel_eps cannot both vanish")

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import add, index
 
-from .errors import MAX_SAMPLES, DomainError, check_count
+from .errors import MAX_SAMPLES, DomainError, check_count, check_real
 
 __all__ = [
     "SparsePoly",
@@ -270,12 +270,11 @@ class RigidBodyState:
     t: float = 0.0
 
     def __post_init__(self):
-        J = tuple(float(x) for x in self.J)
-        I = tuple(float(x) for x in self.I)
+        J, I = tuple(self.J), tuple(self.I)
         if len(J) != 3 or len(I) != 3:
             raise DomainError("shape", "J and I must be 3-vectors")
-        if not all(map(math.isfinite, (*J, *I, self.t))):
-            raise DomainError("not_finite", "J, I and t must be finite")
+        J, I = tuple(check_real(x, "J") for x in J), tuple(check_real(x, "I") for x in I)
+        check_real(self.t, "t")
         if min(I) <= 0:
             raise DomainError("bad_inertia", "principal moments must be positive")
         object.__setattr__(self, "J", J)
@@ -356,7 +355,7 @@ def integrate_rigid_body(s0: RigidBodyState, dt: float, steps: int) -> RigidBody
     steps with ``size_cap``, and a trajectory leaving the float range with ``not_finite``.
     """
     steps = check_count(steps, "steps", 0, MAX_SAMPLES, "bad_steps")
-    if not math.isfinite(dt) or dt == 0:
+    if (dt := check_real(dt, "dt", "bad_dt")) == 0:
         raise DomainError("bad_dt", "dt must be finite and nonzero")
     rhs, half, sixth, t0 = _rhs(s0.I), 0.5 * dt, dt / 6.0, s0.t
     a, b, c = s0.J

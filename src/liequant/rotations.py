@@ -3,7 +3,6 @@ axis extraction, and the two-to-one covering map with its kernel."""
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -11,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_finite, finite
+from .errors import DomainError, check_finite, check_real, finite
 
 __all__ = [
     "Rotation",
@@ -95,9 +94,10 @@ class SU2Element:
     y: complex
 
     def __post_init__(self):
-        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)):
-            raise DomainError("not_finite", "x and y must be finite")
-        if abs(abs(self.x) ** 2 + abs(self.y) ** 2 - 1.0) > 1e-12:
+        check_finite(self.x, "x")
+        check_finite(self.y, "y")
+        ax, ay = abs(self.x), abs(self.y)  # squared by products, which give inf, not OverflowError
+        if abs(ax * ax + ay * ay - 1.0) > 1e-12:
             raise DomainError("not_unit", "|x|^2 + |y|^2 must be 1")
 
     def __matmul__(self, other: "SU2Element") -> "SU2Element":
@@ -112,7 +112,7 @@ def hat(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float)
     if w.shape != (3,):
         raise DomainError("shape", "expected a 3-vector")
-    w0, w1, w2 = w.tolist()
+    w0, w1, w2 = check_finite(w, "an entry of w").tolist()
     return np.array([
         [0.0, -w2, w1],
         [w2, 0.0, -w0],
@@ -132,7 +132,7 @@ def vee(m) -> np.ndarray:
 
 def elementary(axis: str, angle: float) -> Rotation:
     """Elementary rotation about the x, y or z axis."""
-    check_finite(angle, "the angle")
+    angle = check_real(angle, "the angle")
     c, s = np.cos(angle), np.sin(angle)
     if axis == "x":
         m = [[1, 0, 0], [0, c, -s], [0, s, c]]

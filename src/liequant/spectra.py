@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_LINES, MAX_ASSIGN_STARTS, MAX_ASSIGN_TERMS,
-                     MAX_KMAX, DomainError, check_cap, check_count, check_positive, finite)
+                     MAX_KMAX, DomainError, check_cap, check_count, check_finite, check_positive,
+                     check_real, finite)
 
 __all__ = [
     "EnergyLevels",
@@ -73,7 +74,7 @@ class SpectrumDataset:
         wt = np.ones_like(om) if weights is None else np.asarray(weights, dtype=float)
         if om.ndim != 1 or om.shape != wt.shape:
             raise DomainError("shape", "omegas and weights must be equal-length vectors")
-        if not (np.all((0 < om) & (om < np.inf)) and np.all((0 < wt) & (wt < np.inf))):
+        if not np.all((om > 0) & (wt > 0) & np.isfinite(om) & np.isfinite(wt)):  # NaN fails
             raise DomainError("bad_lines", "frequencies and weights must be positive and finite")
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "weights", wt)
@@ -109,8 +110,7 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
     ``r_h`` (1/m by default).
     """
     k_max = check_count(k_max, "k_max", 2, MAX_KMAX, "too_few")
-    if not np.isfinite(r_h):
-        raise DomainError("bad_argument", "r_h must be finite")
+    r_h = check_real(r_h, "r_h", "bad_argument")
     k, l = np.triu_indices(k_max, 1)
     k, l = k + 1, l + 1
     w = r_h * (1.0 / k**2 - 1.0 / l**2)
@@ -119,10 +119,12 @@ def rydberg_lines(k_max: int, r_h: float = RYDBERG_CONSTANT):
 
 def lorentz_response(force: complex, omega: float, m: float, c: float, k: float) -> float:
     """Driven-oscillator energy |F|^2 / ((k - m w^2)^2 + (c w)^2)."""
-    denom = (k - m * omega**2) ** 2 + (c * omega) ** 2
+    omega, m, c, k = (check_real(x, "omega, m, c and k") for x in (omega, m, c, k))
+    f, d, e = abs(complex(check_finite(force, "force"))), k - m * (omega * omega), c * omega
+    denom = d * d + e * e  # Python float products: inf, not OverflowError, past the range
     if denom == 0.0:
         raise DomainError("undamped_resonance", "response diverges at resonance")
-    return abs(force) ** 2 / denom
+    return check_finite(f * f / denom, "the response")
 
 
 def objective(levels, upper, lower, data: SpectrumDataset, hbar: float) -> float:
@@ -235,13 +237,13 @@ def assign_lines_multistart(data: SpectrumDataset, initial: EnergyLevels,
     """Best of ``n_starts`` solves, at most ``MAX_ASSIGN_STARTS``; starts beyond the
     first perturb the trial levels by centered Gaussian noise of the given scale."""
     n_starts = check_count(n_starts, "n_starts", 1, MAX_ASSIGN_STARTS, "bad_iters")
-    if not 0 <= scale < np.inf:  # also rejects NaN
+    if check_real(scale, "scale", "bad_argument") < 0:  # -0.0 passes; numpy gets abs(scale)
         raise DomainError("bad_argument", "scale must be non-negative and finite")
     if rng is None:
         rng = np.random.default_rng(0)
     best = assign_lines(data, initial, hbar=hbar, max_iters=max_iters)
     for _ in range(n_starts - 1):
-        trial = EnergyLevels(initial.values + rng.normal(0.0, scale, len(initial)),
+        trial = EnergyLevels(initial.values + rng.normal(0.0, abs(scale), len(initial)),
                              unit=initial.unit)
         sol = assign_lines(data, trial, hbar=hbar, max_iters=max_iters)
         if sol.objective < best.objective:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_positive
+from .errors import DomainError, check_finite, check_positive, check_real
 from .matrixcore import DEFAULT_TOL, as_square, eig_hermitian, is_hermitian
 
 __all__ = [
@@ -51,8 +51,8 @@ class PhysicalConstants:
     c: float = 2.99792458e8
 
     def __post_init__(self):
-        if not all(0 < x < math.inf for x in (self.kbar, self.hbar, self.c)):  # also rejects NaN
-            raise DomainError("bad_constants", "all constants must be positive and finite")
+        for name in ("kbar", "hbar", "c"):
+            check_positive(getattr(self, name), "bad_constants", name)
 
 
 SI_CONSTANTS = PhysicalConstants()
@@ -65,9 +65,8 @@ class GibbsState:
     """Canonical state <g> = tr(e^{-beta H} g)/Z for Hermitian H."""
 
     def __init__(self, h, beta: float):
-        check_positive(beta, "bad_beta", "beta")
+        self.beta = check_positive(beta, "bad_beta", "beta")
         self.h = as_square(h, "H")
-        self.beta = float(beta)
         self._w, self._v = eig_hermitian(self.h)
         w = self._w
         if not math.isfinite(self.beta * (abs(float(w[0])) + abs(float(w[-1])))):
@@ -113,7 +112,7 @@ def gibbs_value(state: GibbsState, g) -> complex:
 
 def entropy_value(state: GibbsState, kbar: float = 1.0) -> float:
     """<S> = kbar (beta <H> + log Z), nonnegative at finite level count."""
-    return kbar * (state.beta * state.mean_energy + state.log_z)
+    return check_real(kbar, "kbar") * (state.beta * state.mean_energy + state.log_z)
 
 
 def schottky_capacity(e_gap: float, temperature: float,
@@ -122,10 +121,9 @@ def schottky_capacity(e_gap: float, temperature: float,
 
     A non-finite E raises ``not_finite``; C is 0.0 where e^x/(e^x+1)^2 underflows.
     """
-    check_positive(temperature, "bad_temperature", "T")
-    check_finite(e_gap, "e_gap")
+    temperature = check_positive(temperature, "bad_temperature", "T")
     # x in two divisions, as kbar T may underflow to 0; floats, as a numpy scalar would warn
-    x = float(e_gap) / consts.kbar / float(temperature)
+    x = check_real(e_gap, "e_gap") / consts.kbar / temperature
     # e^x/(e^x+1)^2 = (2 cosh(x/2))^{-2}, computed via decaying exponentials
     t = math.exp(-abs(x) / 2.0)
     sech_half = t / (1.0 + t * t)
@@ -197,8 +195,9 @@ def limit_resolution(state: GibbsState, g) -> float:
 def planck_density(omega: float, temperature: float, volume: float,
                    consts: PhysicalConstants = SI_CONSTANTS) -> float:
     """Spectral energy density f(w) = (V hbar / pi^2 c^3) w^3 / (e^{hbar w beta} - 1)."""
-    if not (0 < omega < math.inf and 0 < temperature < math.inf and math.isfinite(volume)):
-        raise DomainError("bad_argument", "omega and T must be positive and finite, V finite")
+    check_positive(omega, "bad_argument", "omega")
+    check_positive(temperature, "bad_argument", "T")
+    check_real(volume, "V", "bad_argument")
     try:
         beta = 1.0 / (consts.kbar * temperature)
         x = consts.hbar * omega * beta
@@ -237,12 +236,12 @@ def entropy_of_mixing(fractions, n_moles: float,
     x = np.asarray(fractions, dtype=float)
     if x.ndim != 1 or np.any(x <= 0) or abs(float(np.sum(x)) - 1.0) > 1e-12:
         raise DomainError("bad_fractions", "need positive fractions summing to 1")
-    return float(consts.kbar * n_moles * np.sum(x * np.log(x)))
+    return float(consts.kbar * check_real(n_moles, "n_moles") * np.sum(x * np.log(x)))
 
 
 def ideal_gas_pressure(temperature: float, volume: float,
                        consts: PhysicalConstants = SI_CONSTANTS) -> float:
     """One-mole ideal gas law P = R T / V with R = kbar * Avogadro."""
-    check_positive(temperature, "bad_argument", "T")
-    check_positive(volume, "bad_argument", "V")
-    return consts.kbar * AVOGADRO * temperature / volume
+    temperature = check_positive(temperature, "bad_argument", "T")
+    volume = check_positive(volume, "bad_argument", "V")
+    return check_finite(consts.kbar * AVOGADRO * temperature / volume, "the pressure")
