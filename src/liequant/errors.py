@@ -1,10 +1,9 @@
 """Library-wide error type, the guards that raise it, and the size caps.
 
-A bad size, a bad parameter or a value past the float range becomes a
-``DomainError`` through one of the helpers below; every count, spin and
-real parameter is read by ``check_count``, ``check_spin`` and ``check_real``
-(``check_positive`` is built on it).  numpy, ``numbers`` and ``fractions``
-are imported inside them, so ``import liequant`` alone does not load them.
+A bad size, a bad parameter or a value past the float range becomes a ``DomainError``
+through one of the helpers below; every count, spin, real and array argument is read by
+``check_count``, ``check_spin``, ``check_real`` (``check_positive`` wraps it) or ``check_array``.
+numpy, ``numbers`` and ``fractions`` are imported inside them, not by ``import liequant``.
 """
 
 import cmath
@@ -89,6 +88,28 @@ def check_positive(value, token: str, what: str) -> float:
     if (x := check_real(value, what, token)) <= 0:
         raise DomainError(token, f"{what} must be positive and finite")
     return x
+
+
+def check_array(value, what: str, shape: tuple, dtype=float):
+    """``value`` as an ndarray of ``dtype``, float or complex, by one ``np.asarray`` that copies no
+    array of that dtype.  A non-number entry, or a complex one in a real array, is ``TypeError``; a
+    ragged list or another shape (None: any length) ``shape``; 10**400 ``not_finite``; NaN passes."""
+    import numpy as np
+    try:
+        a = np.asarray(value)
+        if a.dtype != dtype:
+            import numbers  # an object array holds ints past the float range, Fractions, None, str
+            real = not issubclass(dtype, complex)
+            if a.dtype.kind not in ("biuf" if real else "biufc") and not (a.dtype.kind == "O" and
+                    all(isinstance(x, numbers.Real if real else numbers.Complex) for x in a.flat)):
+                raise TypeError(f"{what} must hold {'real' if real else 'complex'} numbers")
+            a = a.astype(dtype)
+    except (ValueError, OverflowError) as e:  # a ragged list, or an int such as 10**400
+        raise DomainError("shape" if isinstance(e, ValueError) else "not_finite", f"{what}: {e}")
+    if a.shape != shape and (a.ndim != len(shape) or shape.count(None) < a.ndim and any(
+            n is not None and n != m for n, m in zip(shape, a.shape))):  # all None: only ndim
+        raise DomainError("shape", f"{what} must have shape {shape}, got {a.shape}")
+    return a
 
 
 def check_finite(value, what: str):

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import MAX_MODES, DomainError, check_cap, check_count, check_positive
+from .errors import MAX_MODES, check_array, check_cap, check_count, check_finite, check_positive
 
 __all__ = [
     "epsilon",
@@ -69,10 +69,8 @@ class FermionFock:
         return tuple(i + 1 for i in range(self.n_modes) if index >> i & 1)
 
     def smeared(self, u, dagger: bool = False) -> np.ndarray:
-        """a(u) = sum_j u_j a_j  (or sum_j u_j a*_j with dagger=True)."""
-        u = np.asarray(u)
-        if u.shape != (self.n_modes,):
-            raise DomainError("shape", "one coefficient per mode required")
+        """a(u) = sum_j u_j a_j  (or sum_j u_j a*_j with dagger=True), complex."""
+        u = check_finite(check_array(u, "u", (self.n_modes,), complex), "an entry of u")
         return np.tensordot(u, self.a_dag if dagger else self.a, axes=1)
 
 

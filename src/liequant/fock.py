@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (MAX_LEVELS, DomainError, check_cap, check_count, check_finite, check_positive,
-                     check_real, finite)
+from .errors import (MAX_LEVELS, DomainError, check_array, check_cap, check_count, check_finite,
+                     check_positive, check_real, finite)
 from .matrixcore import kron_embed
 
 __all__ = [
@@ -80,10 +80,9 @@ class BosonFock:
         return _frozen(finite(lambda: np.concatenate((head, np.cumprod(steps)[1:])), "a weight"))
 
     def inner(self, phi, psi) -> complex:
-        """Weighted inner product sum_k (hbar^k/k!) conj(phi_k) psi_k."""
-        phi = np.asarray(phi, dtype=complex)
-        psi = np.asarray(psi, dtype=complex)
-        return complex(np.sum(self.metric * np.conj(phi) * psi))
+        """Weighted inner product sum_k (hbar^k/k!) conj(phi_k) psi_k of two dim-vectors."""
+        phi, psi = (check_array(v, "phi and psi", (self.dim,), complex) for v in (phi, psi))
+        return complex(finite(lambda: np.sum(self.metric * np.conj(phi) * psi), "the product"))
 
     def orthonormal_view(self, op) -> np.ndarray:
         """Matrix of ``op`` in the orthonormalized level basis.
@@ -91,13 +90,16 @@ class BosonFock:
         With weights w_k = hbar^k/k! the entry map is op[j, k] ->
         op[j, k] sqrt(w_j / w_k); weights that underflow to 0 raise ``not_finite``.
         """
+        op = check_array(op, "op", (self.dim, self.dim), complex)
         s = np.sqrt(self.metric)
-        return finite(lambda: (op * (s[:, np.newaxis] / s[np.newaxis, :])).astype(complex),
-                      "the orthonormal view")
+        return finite(lambda: op * (s[:, np.newaxis] / s[np.newaxis, :]), "the orthonormal view")
 
     def expectation(self, op, psi) -> complex:
-        psi = np.asarray(psi, dtype=complex)
-        return self.inner(psi, op @ psi) / self.inner(psi, psi)
+        """<psi|op psi> / <psi|psi>; ``bad_argument`` when <psi|psi> is 0."""
+        op = check_array(op, "op", (self.dim, self.dim), complex)
+        if (norm := self.inner(psi, psi)) == 0:  # inner reads psi
+            raise DomainError("bad_argument", "psi has norm 0")
+        return finite(lambda: self.inner(psi, op @ psi) / norm, "the expectation")
 
 
 def build_fock(dim: int, hbar: float = 1.0) -> BosonFock:
@@ -177,7 +179,7 @@ def coherent_inner(s1: CoherentState, s2: CoherentState, hbar: float = 1.0) -> c
         raise DomainError("shape", "coherent states of different truncation")
     _check_truncation(s1.dim, check_real(hbar, "hbar", "bad_hbar"), complex(s1.z), complex(s2.z))
     f = build_fock(s1.dim, hbar)
-    return finite(lambda: f.inner(s1.coeffs, s2.coeffs), "the overlap")
+    return f.inner(s1.coeffs, s2.coeffs)
 
 
 def evolve_coherent(s: CoherentState, omega: float, t: float) -> CoherentState:

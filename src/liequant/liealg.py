@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DIM_CAP, DomainError, check_cap, check_finite, check_positive
+from .errors import (DIM_CAP, DomainError, check_array, check_cap, check_count, check_finite,
+                     check_positive)
 from .matrixcore import DEFAULT_TOL, Tolerance, as_square, commutator, expm
 
 __all__ = [
@@ -40,11 +41,11 @@ class LieAlgebraBasis:
     c: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.c)
-        if c.ndim != 3 or len({*c.shape}) != 1 or c.shape[0] == 0:
-            raise DomainError("shape", "structure tensor must be dim^3 with dim >= 1")
-        if c.shape[0] != len(self.names):
-            raise DomainError("shape", "generator names do not match tensor dim")
+        check_count(len(self.names), "the dimension", 1, token="shape")
+        try:  # real constants stay real, and complex ones complex
+            c = check_array(self.c, "c", (len(self.names),) * 3)
+        except TypeError:
+            c = check_array(self.c, "c", (len(self.names),) * 3, complex)
         check_cap(c.shape[0], DIM_CAP, "the dimension", "dim_cap")
         object.__setattr__(self, "c", check_finite(c, "a structure constant"))
 
@@ -55,8 +56,10 @@ class LieAlgebraBasis:
     def antisymmetry_residual(self) -> float:
         return float(np.max(np.abs(self.c + np.swapaxes(self.c, 0, 1))))
 
-    def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Coordinates of (x <| y) for coordinate vectors x, y."""
+    def bracket_coords(self, x, y) -> np.ndarray:
+        """Coordinates of (x <| y) for coordinate vectors x, y, real if c is."""
+        x, y = (check_finite(check_array(v, "x and y", (self.dim,), self.c.dtype.type), "x and y")
+                for v in (x, y))
         return np.einsum("j,k,jkl->l", x, y, self.c)
 
     def to_json(self) -> str:
@@ -72,13 +75,15 @@ class LieAlgebraBasis:
 
     @staticmethod
     def from_json(text: str) -> "LieAlgebraBasis":
-        data = json.loads(text)
-        raw = np.array(data["c"], dtype=float)
-        if raw.ndim == 4:  # complex entries stored as [re, im] pairs
-            c = raw[..., 0] + 1j * raw[..., 1]
-        else:
-            c = raw
-        return LieAlgebraBasis(data["name"], tuple(data["names"]), c)
+        """Read ``to_json`` text; text that is not such an object gives ``bad_input``."""
+        try:
+            data = json.loads(text, parse_int=float)  # a huge integer is inf, as 1e400
+            name, names, c = data["name"], tuple(data["names"]), np.array(data["c"], dtype=float)
+            if c.ndim == 4:  # complex entries stored as [re, im] pairs
+                c = c[..., 0] + 1j * c[..., 1]
+        except (ValueError, KeyError, TypeError, IndexError) as err:  # JSONDecodeError: ValueError
+            raise DomainError("bad_input", "not a structure-constant JSON object") from err
+        return LieAlgebraBasis(name, names, c)
 
 
 @dataclass(frozen=True)
@@ -99,9 +104,8 @@ class MatrixRealization:
             raise DomainError("bad_convention", self.product_convention)
         check_positive(self.hbar, "bad_hbar", "hbar")
         mats = tuple(as_square(m) for m in self.mats)
-        if len(mats) != self.basis.dim or len({m.shape for m in mats}) > 1:
-            raise DomainError("shape", "one square matrix per generator, all of one size")
-        object.__setattr__(self, "_stack", np.stack(mats))  # mats are views into it
+        stack = check_array(mats, "mats", (self.basis.dim, None, None), complex)  # of one size
+        object.__setattr__(self, "_stack", stack)  # mats are views into it
         object.__setattr__(self, "mats", tuple(self._stack))
 
     @property
@@ -117,7 +121,8 @@ class MatrixRealization:
         return _closure_residual(com, self.basis.c, self._stack)
 
     def element(self, coords) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), self._stack, axes=(0, 0))
+        coords = check_array(coords, "coords", (self.basis.dim,), complex)
+        return np.tensordot(check_finite(coords, "a coordinate"), self._stack, axes=(0, 0))
 
 
 def verify_jacobi(basis: LieAlgebraBasis) -> float:
@@ -164,8 +169,8 @@ def is_semisimple(basis: LieAlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def weyl_check(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Check exp(A+B) = exp(-[A,B]/2) exp(A) exp(B) for central [A,B]."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = as_square(a, "a")
+    b = as_square(b, "b")
     com = commutator(a, b)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     bound = tol.bound(scale * scale)

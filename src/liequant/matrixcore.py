@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_real, finite
+from .errors import DomainError, check_array, check_count, check_finite, check_real, finite
 
 __all__ = [
     "Tolerance",
@@ -58,30 +58,23 @@ DEFAULT_TOL = Tolerance()
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a square complex ndarray."""
-    m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    m = check_array(a, name, (None, None), complex)
+    if m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError("shape", f"{name} must be square, got shape {m.shape}")
     return check_finite(m, f"an entry of {name}")
-
-
-def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DomainError("shape", f"dimension mismatch {a.shape} vs {b.shape}")
 
 
 def commutator(a, b) -> np.ndarray:
     """Commutator ``ab - ba`` of two square matrices of equal size."""
     a = as_square(a, "a")
-    b = as_square(b, "b")
-    _same_shape(a, b)
+    b = check_finite(check_array(b, "b", a.shape, complex), "an entry of b")
     return finite(lambda: a @ b - b @ a, "the commutator")
 
 
 def anticommutator(a, b) -> np.ndarray:
     """Anticommutator ``ab + ba``."""
     a = as_square(a, "a")
-    b = as_square(b, "b")
-    _same_shape(a, b)
+    b = check_finite(check_array(b, "b", a.shape, complex), "an entry of b")
     return finite(lambda: a @ b + b @ a, "the anticommutator")
 
 
@@ -91,6 +84,8 @@ def kron_embed(op, slot: int, dims) -> np.ndarray:
     Every other factor carries the identity; the factors are Kronecker
     multiplied in order, so factor 0 is the most significant index.
     """
+    slot = check_count(slot, "slot", 0, len(dims) - 1)
+    op = check_finite(check_array(op, "op", (dims[slot],) * 2, complex), "an entry of op")
     return reduce(np.kron, [op if i == slot else np.eye(d) for i, d in enumerate(dims)])
 
 

@@ -10,7 +10,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_real, finite
+from .errors import DomainError, check_array, check_finite, check_real, finite
 
 __all__ = [
     "Rotation",
@@ -75,15 +75,15 @@ class Rotation:
     m: np.ndarray
 
     def __post_init__(self):
-        m = _check_so3(np.array(self.m, dtype=float, order="C"))  # a copy
-        m.flags.writeable = False
+        m = _check_so3(check_array(self.m, "a rotation", (3, 3)).copy())  # a C-ordered copy
+        m.setflags(write=False)  # quicker than m.flags.writeable, which builds a flags object
         object.__setattr__(self, "m", m)
 
     def __matmul__(self, other: "Rotation") -> "Rotation":
         return Rotation(self.m @ other.m)
 
     def apply(self, v) -> np.ndarray:
-        return finite(lambda: self.m @ np.asarray(v, dtype=float), "the image")
+        return finite(lambda: self.m @ check_array(v, "v", (3,)), "the image")
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,7 @@ class SU2Element:
 
 def hat(omega) -> np.ndarray:
     """Antisymmetric matrix X(w) with X(w) v = w x v."""
-    w = np.asarray(omega, dtype=float)
-    if w.shape != (3,):
-        raise DomainError("shape", "expected a 3-vector")
-    w0, w1, w2 = check_finite(w, "an entry of w").tolist()
+    w0, w1, w2 = check_finite(check_array(omega, "w", (3,)), "an entry of w").tolist()
     return np.array([
         [0.0, -w2, w1],
         [w2, 0.0, -w0],
@@ -122,9 +119,7 @@ def hat(omega) -> np.ndarray:
 
 def vee(m) -> np.ndarray:
     """Inverse of :func:`hat`; rejects non-antisymmetric input."""
-    a = np.asarray(m, dtype=float)
-    if a.shape != (3, 3):
-        raise DomainError("shape", "expected a 3x3 matrix")
+    a = check_finite(check_array(m, "m", (3, 3)), "an entry of m")
     if np.max(np.abs(a + a.T)) > 1e-10:
         raise DomainError("not_antisymmetric", "matrix is not antisymmetric")
     return np.array([a[2, 1], a[0, 2], a[1, 0]])
@@ -147,9 +142,7 @@ def elementary(axis: str, angle: float) -> Rotation:
 
 def rodrigues(a) -> Rotation:
     """exp(X(a)) = 1 + sin|a|/|a| X(a) + (1-cos|a|)/|a|^2 X(a)^2."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3,):
-        raise DomainError("shape", "expected a 3-vector")
+    a = check_array(a, "a", (3,))
     # a NaN or infinite entry, |a| or X(a)^2 past the float range make m
     # non-finite, which Rotation rejects with not_finite
     with np.errstate(over="ignore", invalid="ignore"):

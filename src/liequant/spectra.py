@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_LINES, MAX_ASSIGN_STARTS, MAX_ASSIGN_TERMS,
-                     MAX_KMAX, DomainError, check_cap, check_count, check_finite, check_positive,
-                     check_real, finite)
+                     MAX_KMAX, DomainError, check_array, check_cap, check_count, check_finite,
+                     check_positive, check_real, finite)
 
 __all__ = [
     "EnergyLevels",
@@ -45,10 +45,9 @@ class EnergyLevels:
     unit: str = "J"
 
     def __init__(self, values, unit: str = "J"):
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size == 0:
+        vals = np.sort(check_array(values, "levels", (None,)))
+        if vals.size == 0:
             raise DomainError("shape", "need a nonempty 1-d level list")
-        vals = np.sort(vals)
         # sorted, so a NaN (last) or an infinite end makes the span non-finite too
         finite(lambda: vals[-1] - vals[0], "the level span")
         merged = [vals[0]]
@@ -70,10 +69,8 @@ class SpectrumDataset:
     weights: np.ndarray
 
     def __init__(self, omegas, weights=None):
-        om = np.asarray(omegas, dtype=float)
-        wt = np.ones_like(om) if weights is None else np.asarray(weights, dtype=float)
-        if om.ndim != 1 or om.shape != wt.shape:
-            raise DomainError("shape", "omegas and weights must be equal-length vectors")
+        om = check_array(omegas, "omegas", (None,))
+        wt = np.ones_like(om) if weights is None else check_array(weights, "weights", om.shape)
         if not np.all((om > 0) & (wt > 0) & np.isfinite(om) & np.isfinite(wt)):  # NaN fails
             raise DomainError("bad_lines", "frequencies and weights must be positive and finite")
         object.__setattr__(self, "omegas", om)
@@ -128,9 +125,15 @@ def lorentz_response(force: complex, omega: float, m: float, c: float, k: float)
 
 
 def objective(levels, upper, lower, data: SpectrumDataset, hbar: float) -> float:
-    e = np.asarray(levels, dtype=float)
-    ratio = (e[np.asarray(upper) - 1] - e[np.asarray(lower) - 1]) / (hbar * data.omegas)
-    return float(np.sum(data.weights * (ratio - 1.0) ** 2))
+    """S(E, j, k) for 1-based level indices ``upper``, ``lower``; others give ``bad_argument``."""
+    e = check_array(levels, "levels", (None,))
+    jk = check_array((upper, lower), "upper and lower", (2, len(data)))
+    if not np.isin(jk, np.arange(1, e.size + 1)).all():
+        raise DomainError("bad_argument", "level indices must lie in 1..len(levels)")
+    hbar = check_positive(hbar, "bad_hbar", "hbar")
+    j, k = jk.astype(int) - 1
+    return float(finite(lambda: np.sum(
+        data.weights * ((e[j] - e[k]) / (hbar * data.omegas) - 1.0) ** 2), "the objective"))
 
 
 def _best_assignment(e: np.ndarray, data: SpectrumDataset, hbar: float):
@@ -154,8 +157,8 @@ def _refit_levels(e_prev: np.ndarray, upper, lower, data: SpectrumDataset, hbar:
     previous values; the returned flag reports that case.
     """
     n = e_prev.size
-    j = np.asarray(upper) - 1
-    k = np.asarray(lower) - 1
+    j = upper - 1
+    k = lower - 1
     # the gauge level's component of the transition graph, one layer of lines per pass
     anchored = np.arange(n) == 0
     size = 1

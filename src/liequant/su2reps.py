@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_DIM, DomainError, check_cap, check_spin
+from .errors import MAX_DIM, DomainError, check_array, check_cap, check_finite, check_spin
 from .liealg import _span_residual
 from .matrixcore import as_square, eig_hermitian
 
@@ -32,6 +32,7 @@ __all__ = [
 
 
 _SPINOR_DIM = 1030  # the largest 2s+1 whose spinor metric terms binom(2s, k) are floats
+_CLOSURE_TOL = 1e-8  # the largest commutator part outside the span of a subalgebra
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,7 @@ def spinor_inner(x, y, s) -> complex:
     closed form is returned.
     """
     twos = check_spin(s, _SPINOR_DIM)
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != (2,) or y.shape != (2,):
-        raise DomainError("shape", "spinor arguments are 2-vectors")
+    x, y = (check_finite(check_array(v, "x and y", (2,), complex), "x and y") for v in (x, y))
     direct = complex((np.conj(y) @ x) ** twos)
     expanded = 0.0 + 0.0j
     for kk in range(twos + 1):
@@ -174,7 +172,7 @@ def spinor_metric(s) -> np.ndarray:
     return np.array([1.0 / math.comb(twos, k) for k in range(twos + 1)])
 
 
-def decompose_restriction(sub_mats, tol: float = 1e-8):
+def decompose_restriction(sub_mats):
     """Irreducible block sizes of a representation restricted to a subalgebra.
 
     ``sub_mats`` are the images of the subalgebra generators (they must
@@ -186,8 +184,8 @@ def decompose_restriction(sub_mats, tol: float = 1e-8):
     mats = [as_square(m) for m in sub_mats]
     if not mats:
         raise DomainError("not_subalgebra", "no generators given")
-    mats = np.stack(mats)
-    if _span_residual(mats) > tol:
+    mats = check_array(mats, "sub_mats", (None, *mats[0].shape), complex)  # of one size
+    if _span_residual(mats) > _CLOSURE_TOL:
         raise DomainError("not_subalgebra", "commutator leaves the span")
     trace_form = np.einsum("iab,jba->ij", mats, mats)
     if abs(np.linalg.det(trace_form)) < 1e-12:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_finite, check_positive, check_real
+from .errors import DomainError, check_array, check_finite, check_positive, check_real
 from .matrixcore import DEFAULT_TOL, as_square, eig_hermitian, is_hermitian
 
 __all__ = [
@@ -93,9 +93,7 @@ class GibbsState:
         return self._v @ np.diag(self._probs) @ self._v.conj().T
 
     def value(self, g) -> complex:
-        g = as_square(g, "g")
-        if g.shape != self.h.shape:
-            raise DomainError("shape", "observable has wrong dimension")
+        g = check_finite(check_array(g, "g", self.h.shape, complex), "an entry of g")
         gt = self._v.conj().T @ g @ self._v
         return complex(np.sum(self._probs * np.diag(gt)))
 
@@ -154,10 +152,7 @@ def kubo_inner(f, g, h) -> complex:
     cannot overflow (Kubo, J. Phys. Soc. Jpn. 12, 570, 1957).
     """
     f = as_square(f, "f")
-    g = as_square(g, "g")
-    h = as_square(h, "h")
-    if g.shape != f.shape or h.shape != f.shape:
-        raise DomainError("shape", "operands must match f in dimension")
+    g, h = (check_finite(check_array(v, "g and h", f.shape, complex), "g and h") for v in (g, h))
     state = GibbsState(f, 1.0)
     w, v, p = state._w, state._v, state._probs
     gt = v.conj().T @ g @ v
@@ -169,9 +164,7 @@ def kubo_inner(f, g, h) -> complex:
 def gibbs_bogoliubov_gap(f, g) -> float:
     """W(f) + <g - f>_f - W(g); nonnegative, zero iff g - f is constant."""
     f = as_square(f, "f")
-    g = as_square(g, "g")
-    if f.shape != g.shape:
-        raise DomainError("shape", "f and g must have equal dimension")
+    g = check_finite(check_array(g, "g", f.shape, complex), "an entry of g")
     state = GibbsState(f, 1.0)  # the state's log Z also gives W(f)
     return float(0.0 - state.log_z) + state.value(g - f).real - generating_functional(g)
 
@@ -233,10 +226,10 @@ def stefan_constant(consts: PhysicalConstants = SI_CONSTANTS) -> float:
 def entropy_of_mixing(fractions, n_moles: float,
                       consts: PhysicalConstants = NATURAL_CONSTANTS) -> float:
     """kbar N_c sum x_j log x_j (nonpositive; its negation is the mixing gain)."""
-    x = np.asarray(fractions, dtype=float)
-    if x.ndim != 1 or np.any(x <= 0) or abs(float(np.sum(x)) - 1.0) > 1e-12:
+    x = check_array(fractions, "fractions", (None,))
+    if not (np.all(x > 0) and abs(float(np.sum(x)) - 1.0) <= 1e-12):  # NaN fails both
         raise DomainError("bad_fractions", "need positive fractions summing to 1")
-    return float(consts.kbar * check_real(n_moles, "n_moles") * np.sum(x * np.log(x)))
+    return check_finite(consts.kbar * check_real(n_moles, "N") * float(np.sum(x * np.log(x))), "S")
 
 
 def ideal_gas_pressure(temperature: float, volume: float,

@@ -1,18 +1,21 @@
-"""The guards in errors.py: caps, counts, spins, real numbers, positivity and finiteness."""
+"""The guards in errors.py: caps, counts, spins, real numbers, arrays, positivity and finiteness."""
 
+import copy
 import math
 import pathlib
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import liequant
-from liequant import fermion, fock, matrixcore, poisson, rotations, spectra, su2reps, thermal
-from liequant.errors import (MAX_SAMPLES, DomainError, check_cap, check_count, check_finite,
-                             check_positive, check_real, check_spin, finite)
+from liequant import (fermion, fock, liealg, matrixcore, poisson, rotations, spectra, su2reps,
+                      thermal)
+from liequant.errors import (MAX_SAMPLES, DomainError, check_array, check_cap, check_count,
+                             check_finite, check_positive, check_real, check_spin, finite)
 
 
 def raised(call):
@@ -75,6 +78,74 @@ class TestCheckReal:
     def test_a_value_of_another_kind_raises_type_error(self, value):
         with pytest.raises(TypeError):
             check_real(value, "x")
+
+
+class TestCheckArray:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_array_of_the_dtype_is_not_copied(self, dtype):
+        a = np.zeros((2, 3), dtype=dtype)
+        assert check_array(a, "a", (2, 3), dtype) is a
+
+    @pytest.mark.parametrize("value, dtype", [
+        ([[1, 2], [3, 4]], float), (np.arange(4).reshape(2, 2), float), ([[True, 0], [0, 1]], float),
+        (np.ones((2, 2), dtype=np.float32), float), ([[1.0, 2], [3, 4]], complex),
+        ([[1j, 2], [3, 4]], complex), ([[Fraction(1, 3), 2], [3, 4]], float),
+        ([[Fraction(1, 3), 2], [3, 4]], complex), ([[np.int64(1), 2.5], [3, 4]], float),
+    ], ids=["int list", "int array", "bool", "float32", "real into complex", "complex",
+            "Fraction", "Fraction into complex", "int64"])
+    def test_numbers_are_read_into_the_dtype(self, value, dtype):
+        got = check_array(value, "a", (2, 2), dtype)
+        assert got.dtype == np.dtype(dtype) and got.shape == (2, 2)
+        assert got.tolist() == np.array(value, dtype=object).astype(dtype).tolist()
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_nan_and_infinities_pass(self, dtype):
+        got = check_array([math.nan, math.inf, -math.inf], "a", (3,), dtype)
+        assert np.isnan(got[0]) and np.isinf(got[1:]).all()
+
+    @pytest.mark.parametrize("value, shape", [([10**400, 1.0], (2,)), ([1.0, -(10**400)], (2,)),
+                                              ([[10**400]] * 2, (2, 1))],
+                             ids=["10**400", "-10**400", "nested"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_int_past_the_float_range_is_not_finite(self, value, shape, dtype):
+        err = raised(lambda: check_array(value, "the levels", shape, dtype))
+        assert err.token == "not_finite" and "the levels" in str(err)
+
+    @pytest.mark.parametrize("value", ["1", "abc", b"1", None, [None, 1.0], ["1", 2.0],
+                                       [Fraction(1, 2), "1"], [[1.0], [None]],
+                                       np.array(["1.5"]), [1.0, Decimal(1)]],
+                             ids=["str", "word", "bytes", "None", "[None]", "['1']",
+                                  "Fraction and str", "nested None", "str array", "Decimal"])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_an_entry_that_is_no_number_raises_type_error(self, value, dtype):
+        with pytest.raises(TypeError):
+            check_array(value, "a", (None,) * np.ndim(np.array(value, dtype=object)), dtype)
+
+    @pytest.mark.parametrize("value", [[1j], np.array([1 + 0j]), [Fraction(1), 2j], [1.0, 1e400j]],
+                             ids=["1j", "complex128", "object", "complex inf"])
+    def test_a_complex_entry_in_a_real_array_raises_type_error(self, value):
+        # np.asarray(..., dtype=float) dropped the imaginary part with only a ComplexWarning
+        with pytest.raises(TypeError):
+            check_array(value, "a", (None,))
+        assert check_array(value, "a", (None,), complex).dtype == complex
+
+    @pytest.mark.parametrize("value", [[[1.0, 2.0], [3.0]], [1.0, [2.0, 3.0]], [[1.0], 2.0]],
+                             ids=["short row", "list entry", "scalar row"])
+    def test_a_ragged_list_is_shape(self, value):
+        assert raised(lambda: check_array(value, "m", (None, None))).token == "shape"
+
+    @pytest.mark.parametrize("value, shape", [
+        ([1.0, 2.0], (3,)), ([1.0, 2.0, 3.0], (3, 3)), ([[1.0, 2.0, 3.0]], (3,)), (1.0, (None,)),
+        ([[1.0, 2.0]], (2, None)), ([[1.0, 2.0]], (None, 3)), (np.zeros((2, 2, 2)), (None, None)),
+    ], ids=["short", "1-d for 2-d", "2-d for 1-d", "scalar", "rows", "columns", "3-d for 2-d"])
+    def test_another_shape_is_shape(self, value, shape):
+        err = raised(lambda: check_array(value, "the vector", shape))
+        assert err.token == "shape" and "the vector" in str(err)
+
+    @pytest.mark.parametrize("shape", [(None, None), (None, 3), (2, None), (2, 3)])
+    def test_none_matches_any_length(self, shape):
+        assert check_array(np.ones((2, 3)), "m", shape).shape == (2, 3)
+        assert check_array([], "v", (None,)).shape == (0,)
 
 
 class TestCheckFinite:
@@ -298,6 +369,109 @@ REALS = {
 }
 
 
+# Every public array parameter, each called with the other arguments valid: the call, a valid
+# value as a nested list, and whether the parameter is real, so that a complex entry is a TypeError
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+_H2 = [[0.0, 0.5], [0.5, 1.0]]
+_SO3, _SO3_MATS = liealg.builtin_algebra("so3")
+_T3 = su2reps.build_irrep(1).t3.real.tolist()
+_F3 = fock.build_fock(3)
+_FERMI = fermion.build_fermion(2)
+_ROT = rotations.elementary("z", 0.3)
+_TWO_LINES = spectra.SpectrumDataset([1.0, 2.0])
+ARRAYS = {
+    "as_square(a)": (matrixcore.as_square, _EYE2, False),
+    "commutator(a)": (lambda x: matrixcore.commutator(x, _H2), _EYE2, False),
+    "commutator(b)": (lambda x: matrixcore.commutator(_H2, x), _EYE2, False),
+    "anticommutator(a)": (lambda x: matrixcore.anticommutator(x, _H2), _EYE2, False),
+    "anticommutator(b)": (lambda x: matrixcore.anticommutator(_H2, x), _EYE2, False),
+    "kron_embed(op)": (lambda x: matrixcore.kron_embed(x, 1, [3, 2]), _H2, False),
+    "expm(a)": (matrixcore.expm, _H2, False),
+    "is_hermitian(a)": (matrixcore.is_hermitian, _H2, False),
+    "is_antihermitian(a)": (matrixcore.is_antihermitian, _H2, False),
+    "is_unitary(a)": (matrixcore.is_unitary, _EYE2, False),
+    "is_special_orthogonal(a)": (matrixcore.is_special_orthogonal, _EYE2, False),
+    "eig_hermitian(a)": (matrixcore.eig_hermitian, _H2, False),
+    "LieAlgebraBasis(c)": (lambda x: liealg.LieAlgebraBasis("so3", _SO3.names, x), _SO3.c.tolist(),
+                           False),
+    "bracket_coords(x)": (lambda x: _SO3.bracket_coords(x, [0.0, 1.0, 0.0]), [1.0, 0.0, 0.5], True),
+    "bracket_coords(y)": (lambda x: _SO3.bracket_coords([1.0, 0.0, 0.0], x), [1.0, 0.0, 0.5], True),
+    "MatrixRealization(mats)": (lambda x: liealg.MatrixRealization(_SO3, x),
+                                [m.real.tolist() for m in _SO3_MATS.mats], False),
+    "element(coords)": (_SO3_MATS.element, [1.0, 0.0, 0.5], False),
+    "weyl_check(a)": (lambda x: liealg.weyl_check(x, [[0.0, 0.0], [0.0, 0.0]]), _H2, False),
+    "weyl_check(b)": (lambda x: liealg.weyl_check([[0.0, 0.0], [0.0, 0.0]], x), _H2, False),
+    "hat(omega)": (rotations.hat, [1.0, 2.0, 3.0], True),
+    "vee(m)": (rotations.vee, rotations.hat([1.0, 2.0, 3.0]).tolist(), True),
+    "rodrigues(a)": (rotations.rodrigues, [0.1, 0.2, 0.3], True),
+    "Rotation(m)": (rotations.Rotation, _ROT.m.tolist(), True),
+    "Rotation.apply(v)": (_ROT.apply, [1.0, 0.0, 0.5], True),
+    "EnergyLevels(values)": (spectra.EnergyLevels, [0.0, 1.0, 3.0], True),
+    "SpectrumDataset(omegas)": (spectra.SpectrumDataset, [1.0, 2.0], True),
+    "SpectrumDataset(weights)": (lambda x: spectra.SpectrumDataset([1.0, 2.0], x), [1.0, 0.5],
+                                 True),
+    "objective(levels)": (lambda x: spectra.objective(x, [2, 3], [1, 1], _TWO_LINES, 1.0),
+                          [0.0, 1.0, 3.0], True),
+    "objective(upper)": (lambda x: spectra.objective([0.0, 1.0, 3.0], x, [1, 1], _TWO_LINES, 1.0),
+                         [2, 3], True),
+    "objective(lower)": (lambda x: spectra.objective([0.0, 1.0, 3.0], [2, 3], x, _TWO_LINES, 1.0),
+                         [1, 1], True),
+    "GibbsState(h)": (lambda x: thermal.GibbsState(x, 1.0), _H2, False),
+    "GibbsState.value(g)": (_STATE.value, _H2, False),
+    "partition_function(h)": (lambda x: thermal.partition_function(x, 1.0), _H2, False),
+    "generating_functional(f)": (thermal.generating_functional, _H2, False),
+    "kubo_inner(f)": (lambda x: thermal.kubo_inner(x, _H2, _EYE2), _H2, False),
+    "kubo_inner(g)": (lambda x: thermal.kubo_inner(_H2, x, _EYE2), _H2, False),
+    "kubo_inner(h)": (lambda x: thermal.kubo_inner(_H2, _EYE2, x), _H2, False),
+    "gibbs_bogoliubov_gap(f)": (lambda x: thermal.gibbs_bogoliubov_gap(x, _EYE2), _H2, False),
+    "gibbs_bogoliubov_gap(g)": (lambda x: thermal.gibbs_bogoliubov_gap(_EYE2, x), _H2, False),
+    "limit_resolution(g)": (lambda x: thermal.limit_resolution(_STATE, x), _H2, False),
+    "entropy_of_mixing(fractions)": (lambda x: thermal.entropy_of_mixing(x, 1.0), [0.25, 0.75],
+                                     True),
+    "BosonFock.inner(phi)": (lambda x: _F3.inner(x, [1.0, 0.5, 0.0]), [1.0, 0.0, 0.5], False),
+    "BosonFock.inner(psi)": (lambda x: _F3.inner([1.0, 0.5, 0.0], x), [1.0, 0.0, 0.5], False),
+    "BosonFock.orthonormal_view(op)": (_F3.orthonormal_view, np.eye(3).tolist(), False),
+    "BosonFock.expectation(op)": (lambda x: _F3.expectation(x, [1.0, 0.5, 0.0]),
+                                  np.eye(3).tolist(), False),
+    "BosonFock.expectation(psi)": (lambda x: _F3.expectation(np.eye(3), x), [1.0, 0.5, 0.0],
+                                   False),
+    "FermionFock.smeared(u)": (_FERMI.smeared, [1.0, 0.5], False),
+    "spinor_inner(x)": (lambda x: su2reps.spinor_inner(x, [0.6, 0.8j], 1), [1.0, 0.0], False),
+    "spinor_inner(y)": (lambda x: su2reps.spinor_inner([1.0, 0.0], x, 1), [0.6, 0.8], False),
+    "decompose_restriction(sub_mats)": (su2reps.decompose_restriction, [_T3], False),
+}
+ARRAY_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, 1j, "1", None]
+ARRAY_ENTRY_IDS = ["nan", "inf", "-inf", "10**400", "1j", "'1'", "None"]
+
+
+def _leaves(value, path=()):
+    """Index paths of the numbers in a nested list."""
+    if isinstance(value, list):
+        return [leaf for i, x in enumerate(value) for leaf in _leaves(x, path + (i,))]
+    return [path]
+
+
+def _replaced(value, path, new):
+    """A deep copy of the nested list ``value`` with the entry at ``path`` set to ``new``."""
+    value = copy.deepcopy(value)
+    *head, last = path
+    inner = value
+    for i in head:
+        inner = inner[i]
+    inner[last] = new
+    return value
+
+
+def _array_outcome(name, value, entry=0.0):
+    """The outcome of ARRAYS[name] on ``value``, asserted to be a value, a DomainError, or a
+    TypeError for an ``entry`` that is a str, None, or complex in a real array."""
+    call, _, real = ARRAYS[name]
+    outcome = _outcome(call, value)
+    kind_error = entry is None or isinstance(entry, str) or (isinstance(entry, complex) and real)
+    assert outcome != "type" or kind_error, (name, value)
+    return outcome
+
+
 def _outcome(call, value):
     """"value", "domain" or "type" for a call that returns, raises DomainError or raises
     TypeError; any other exception, or a RuntimeWarning, escapes and fails the test."""
@@ -336,6 +510,61 @@ def test_every_count_and_spin_gives_a_value_or_a_token():
             assert _outcome(call, v) != "type", (name, v)
 
     check()
+
+
+def test_every_array_gives_a_value_or_a_token():
+    """No array parameter raises ValueError, OverflowError or IndexError, warns, or takes a
+    complex entry into a real array: each bad entry, shape or ragged list gives a value, a
+    DomainError, or a TypeError for a str, None or complex-into-real entry."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        for name, (_, base, _) in ARRAYS.items():
+            path = data.draw(st.sampled_from(_leaves(base)), label=f"{name} entry")
+            kind = data.draw(st.sampled_from(["entry", "axis", "short", "ragged"]), label=name)
+            entry = 0.0
+            if kind == "entry":
+                entry = data.draw(st.sampled_from(ARRAY_ENTRIES), label=f"{name} value")
+                value = _replaced(base, path, entry)
+            elif kind == "axis":  # one axis too many
+                value = [base]
+            elif kind == "short":  # the outer list one entry short
+                value = base[:-1]
+            else:  # one entry replaced by a list of two
+                value = _replaced(base, path, [1.0, 1.0])
+            outcome = _array_outcome(name, value, entry)
+            assert kind not in ("axis", "ragged") or outcome == "domain", (name, value)
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_each_array_on_its_valid_value_returns(name):
+    call, base, _ = ARRAYS[name]
+    assert _outcome(call, base) == "value"
+    assert _outcome(call, np.array(base)) == "value"
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+@pytest.mark.parametrize("index", range(len(ARRAY_ENTRIES)), ids=ARRAY_ENTRY_IDS)
+def test_each_array_with_a_special_entry(name, index):
+    _, base, real = ARRAYS[name]
+    entry = ARRAY_ENTRIES[index]
+    outcome = _array_outcome(name, _replaced(base, _leaves(base)[0], entry), entry)
+    if entry is None or isinstance(entry, str) or (entry == 1j and real):
+        assert outcome == "type"
+    elif entry != 1j:  # NaN, an infinity or 10**400 is never accepted
+        assert outcome == "domain"
+
+
+@pytest.mark.parametrize("name", sorted(ARRAYS))
+def test_each_array_of_another_shape_or_ragged_is_a_token(name):
+    _, base, _ = ARRAYS[name]
+    assert _array_outcome(name, [base]) == "domain"
+    assert _array_outcome(name, _replaced(base, _leaves(base)[-1], [1.0, 1.0])) == "domain"
 
 
 @pytest.mark.parametrize("name", sorted(COUNTS))
@@ -381,6 +610,13 @@ def test_no_module_reads_a_real_number_its_own_way():
             text = path.read_text()
             assert "< math.inf" not in text and "< np.inf" not in text, path.name
             assert not re.search(r"^\s*(import|from)\s.*\bcmath\b", text, re.M), path.name
+
+
+def test_no_module_reads_an_array_its_own_way():
+    """Outside errors.py no module calls np.asarray: an array argument is read by check_array."""
+    for path in sorted(pathlib.Path(liealg.__file__).parent.glob("*.py")):
+        if path.name != "errors.py":
+            assert "np.asarray(" not in path.read_text(), path.name
 
 
 class TestFoundCountsAndSpins:
@@ -498,3 +734,69 @@ class TestFoundReals:
         # numpy's normal() raised ValueError for a scale of -0.0
         got = spectra.assign_lines_multistart(_LINES, _LEVELS, n_starts=2, scale=-0.0)
         assert got.objective == spectra.assign_lines(_LINES, _LEVELS).objective
+
+
+_BIG = 10**400
+
+
+class TestFoundArrays:
+    """Each case raised a traceback of another kind, returned a value, or cut its argument before
+    every array argument was read by check_array."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: matrixcore.as_square([[_BIG]]),
+        lambda: matrixcore.expm([[_BIG]]),
+        lambda: liealg.weyl_check([[_BIG]], [[0.0]]),
+        lambda: rotations.hat([_BIG, 0, 0]),
+        lambda: rotations.vee([[0, _BIG, 0], [-_BIG, 0, 0], [0, 0, 0]]),
+        lambda: rotations.rodrigues([_BIG, 0, 0]),
+        lambda: rotations.Rotation([[_BIG, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        lambda: _ROT.apply([_BIG, 0, 0]),
+        lambda: spectra.EnergyLevels([0.0, _BIG]),
+        lambda: spectra.SpectrumDataset([_BIG]),
+        lambda: thermal.entropy_of_mixing([_BIG, 0.5], 1.0),
+        lambda: _F3.inner([_BIG, 0, 0], [1, 0, 0]),
+        lambda: _FERMI.smeared([_BIG, 0]),
+        lambda: su2reps.spinor_inner([_BIG, 0], [1, 0], 1),
+        lambda: _SO3_MATS.element([_BIG, 0, 0]),
+        lambda: liealg.LieAlgebraBasis("x", ("x",), [[[_BIG]]]),  # was TypeError from isfinite
+    ], ids=["as_square", "expm", "weyl_check", "hat", "vee", "rodrigues", "Rotation", "apply",
+            "EnergyLevels", "SpectrumDataset", "entropy_of_mixing", "inner", "smeared",
+            "spinor_inner", "element", "LieAlgebraBasis"])
+    def test_an_int_past_the_float_range_is_not_finite(self, call):
+        assert raised(call).token == "not_finite"  # was OverflowError: int too large to convert
+
+    def test_a_complex_rotation_is_type_error(self):
+        # Rotation(np.eye(3) + 1e-3j) returned the identity after a ComplexWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError):
+                rotations.Rotation(np.eye(3) + 1e-3j)
+
+    @pytest.mark.parametrize("call", [
+        lambda: rotations.vee(np.diag([math.nan] * 3)),  # returned [0, 0, 0]
+        lambda: _F3.inner([math.nan, 0, 0], [1, 0, 0]),  # returned nan
+        lambda: _FERMI.smeared([math.nan, 0]),  # returned a NaN matrix
+        lambda: su2reps.spinor_inner([math.nan, 0], [1, 0], 1),  # returned nan
+        lambda: _SO3_MATS.element([math.nan, 0, 0]),  # returned a NaN matrix
+    ], ids=["vee", "inner", "smeared", "spinor_inner", "element"])
+    def test_a_nan_entry_is_not_finite(self, call):
+        assert raised(call).token == "not_finite"
+
+    @pytest.mark.parametrize("call", [
+        lambda: _ROT.apply([1, 0]),
+        lambda: _F3.expectation(np.eye(2), [1, 0, 0]),
+        lambda: _SO3_MATS.element([1, 0]),
+        lambda: matrixcore.as_square([[1, 2], [3]]),
+        lambda: _F3.orthonormal_view([[1]]),  # returned a 3 x 3 matrix
+    ], ids=["apply", "expectation", "element", "as_square", "orthonormal_view"])
+    def test_a_wrong_or_ragged_shape_is_shape(self, call):
+        assert raised(call).token == "shape"  # was ValueError from numpy
+
+    def test_as_square_does_not_parse_a_string(self):
+        with pytest.raises(TypeError):
+            matrixcore.as_square([["1"]])  # was the matrix [[1]]
+
+    def test_expectation_of_the_zero_state_is_bad_argument(self):
+        # raised ZeroDivisionError
+        assert raised(lambda: _F3.expectation(np.eye(3), [0, 0, 0])).token == "bad_argument"

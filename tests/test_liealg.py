@@ -302,6 +302,21 @@ class TestBuiltins:
         with pytest.raises(DomainError, match="not_finite"):
             LieAlgebraBasis.from_json('{"name": "bad", "names": ["x"], "c": [[[NaN]]]}')
 
+    @pytest.mark.parametrize("text", [
+        "x", "{}", "[1]", "3", '{"name": "a", "names": ["x"]}', '{"names": ["x"], "c": [[[0]]]}',
+        '{"name": "a", "names": 3, "c": [[[0]]]}', '{"name": "a", "names": ["x"], "c": [[[0], []]]}',
+        '{"name": "a", "names": ["x"], "c": [[[["a", "b"]]]]}',
+    ], ids=["not json", "no fields", "a list", "a number", "no c", "no name", "names not a list",
+            "ragged c", "str c"])
+    def test_from_json_of_text_that_is_no_basis_is_bad_input(self, text):
+        # "x" raised JSONDecodeError and "{}" KeyError
+        with pytest.raises(DomainError, match="bad_input"):
+            LieAlgebraBasis.from_json(text)
+
+    def test_from_json_reads_a_huge_integer_as_inf(self):
+        with pytest.raises(DomainError, match="not_finite"):
+            LieAlgebraBasis.from_json('{"name": "a", "names": ["x"], "c": [[[1%s]]]}' % ("0" * 400))
+
     def test_json_round_trip(self):
         basis, _ = builtin_algebra("sp(4)")
         again = LieAlgebraBasis.from_json(basis.to_json())

@@ -16,6 +16,7 @@ from liequant.matrixcore import (
     is_hermitian,
     is_special_orthogonal,
     is_unitary,
+    kron_embed,
 )
 
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -269,3 +270,31 @@ class TestOverflow:
         big = np.full((3, 3), 1e200)
         with pytest.raises(DomainError, match="not_finite"):
             product(big, big.T)
+
+
+class TestKronEmbed:
+    def test_places_op_on_its_factor(self):
+        op = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(kron_embed(op, 0, [2, 3]), np.kron(op, np.eye(3)))
+        assert np.array_equal(kron_embed(op, 1, [3, 2]), np.kron(np.eye(3), op))
+
+    @pytest.mark.parametrize("slot, token", [(2, "size_cap"), (5, "size_cap"), (-1, "bad_argument")])
+    def test_a_slot_outside_the_factors_is_rejected(self, slot, token):
+        # slot 5 or -1 on [2, 2] dropped op and returned the identity
+        with pytest.raises(DomainError, match=token):
+            kron_embed(np.eye(2), slot, [2, 2])
+
+    def test_a_float_slot_is_type_error(self):
+        with pytest.raises(TypeError):
+            kron_embed(np.eye(2), 0.0, [2, 2])
+
+    @pytest.mark.parametrize("op", [np.eye(3), np.eye(1), np.ones((2, 3)), np.ones(2)],
+                             ids=["3x3", "1x1", "2x3", "vector"])
+    def test_op_of_another_size_than_its_factor_is_shape(self, op):
+        # a 3 x 3 op on [2, 2] returned a 6 x 6 matrix
+        with pytest.raises(DomainError, match="shape"):
+            kron_embed(op, 0, [2, 2])
+
+    def test_a_non_finite_op_is_not_finite(self):
+        with pytest.raises(DomainError, match="not_finite"):
+            kron_embed([[np.nan, 0.0], [0.0, 1.0]], 1, [2, 2])

@@ -528,3 +528,37 @@ class TestRefitAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak / lines <= 128
+
+
+class TestObjectiveArguments:
+    """objective is public: it reads hbar and the level indices before it computes S."""
+
+    DATA = SpectrumDataset([1.0, 2.0])
+
+    def test_valid_call_is_unchanged(self):
+        # levels 0, 1, 3: line 1 is 1 -> 2 (ratio 1), line 2 is 1 -> 3 (ratio 1.5)
+        got = objective([0.0, 1.0, 3.0], [2, 3], [1, 1], self.DATA, 1.0)
+        assert got == 0.25
+
+    @pytest.mark.parametrize("hbar", [0.0, -1.0, np.nan, np.inf, 10**400],
+                             ids=["0", "-1", "nan", "inf", "10**400"])
+    def test_bad_hbar_is_rejected(self, hbar):
+        # hbar = 0 warned "divide by zero" and NaN returned nan
+        with pytest.raises(DomainError, match="bad_hbar"):
+            objective([0.0, 1.0, 3.0], [2, 3], [1, 1], self.DATA, hbar)
+
+    @pytest.mark.parametrize("upper, lower", [([0, 3], [1, 1]), ([2, 3], [1, 4]), ([5, 3], [1, 1]),
+                                              ([1.5, 3], [1, 1]), ([np.nan, 3], [1, 1])],
+                             ids=["index 0", "past the levels", "index 5", "1.5", "nan"])
+    def test_an_index_outside_the_levels_is_bad_argument(self, upper, lower):
+        # index 0 read the last level and 5 raised IndexError
+        with pytest.raises(DomainError, match="bad_argument"):
+            objective([0.0, 1.0, 3.0], upper, lower, self.DATA, 1.0)
+
+    def test_one_index_per_line(self):
+        with pytest.raises(DomainError, match="shape"):
+            objective([0.0, 1.0, 3.0], [2], [1], self.DATA, 1.0)
+
+    def test_a_term_past_the_float_range_is_not_finite(self):
+        with pytest.raises(DomainError, match="not_finite"):
+            objective([-1e308, 1e308], [2, 2], [1, 1], self.DATA, 1.0)

@@ -1,5 +1,6 @@
 """Spin-j irreducibles, tensor decomposition, spinor overlaps, branching."""
 
+import inspect
 import math
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from liequant.errors import MAX_DIM, DomainError
 from liequant.liealg import builtin_algebra
 from liequant.matrixcore import commutator, expm, is_unitary
+from liequant import su2reps
 from liequant.su2reps import (
     build_irrep,
     casimir,
@@ -385,3 +387,15 @@ class TestRestriction:
         bad = [np.diag([1.0, 0.0]), np.array([[0.0, 1.0], [0.0, 0.0]]) ]
         with pytest.raises(DomainError, match="not_subalgebra"):
             decompose_restriction(bad)
+
+    def test_closure_tolerance_is_a_constant(self):
+        # tol=nan or tol=inf skipped the closure test, since residual > nan is False
+        assert "tol" not in inspect.signature(decompose_restriction).parameters
+        assert su2reps._CLOSURE_TOL == 1e-8
+        with pytest.raises(TypeError):
+            decompose_restriction([build_irrep(1).t3], tol=math.nan)
+
+    def test_generators_of_different_sizes_are_shape(self):
+        # np.stack raised ValueError
+        with pytest.raises(DomainError, match="shape"):
+            decompose_restriction([build_irrep(HALF).t3, build_irrep(1).t3])

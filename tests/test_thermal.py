@@ -522,6 +522,18 @@ class TestMixing:
         with pytest.raises(DomainError, match="bad_fractions"):
             entropy_of_mixing([0.5, 0.6], 1.0, NATURAL)
 
+    @pytest.mark.parametrize("fractions", [[math.nan, 1.0], [0.5, math.nan], [math.inf, -math.inf],
+                                           [[0.5, 0.5]], []],
+                             ids=["nan first", "nan second", "infinities", "2-d", "empty"])
+    def test_non_finite_or_misshapen_fractions_are_rejected(self, fractions):
+        with pytest.raises(DomainError, match="bad_fractions|shape"):
+            entropy_of_mixing(fractions, 1.0, NATURAL)
+
+    def test_entropy_past_the_float_range_is_not_finite(self):
+        # kbar and N are each finite, but kbar N sum x log x returned -inf
+        with pytest.raises(DomainError, match="not_finite"):
+            entropy_of_mixing([0.5, 0.5], 1e308, thermal.PhysicalConstants(kbar=10.0))
+
     def test_ideal_gas_helper(self):
         p = ideal_gas_pressure(273.15, 0.0224, SI_CONSTANTS)
         assert 1.0e5 < p < 1.03e5
