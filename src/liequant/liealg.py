@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DIM_CAP, DomainError, check_array, check_cap, check_count, check_finite,
-                     check_positive)
-from .matrixcore import DEFAULT_TOL, Tolerance, as_square, commutator, expm
+                     check_positive, finite)
+from .matrixcore import _EPS, _bound, _squares, as_square, commutator, expm
 
 __all__ = [
     "LieAlgebraBasis",
@@ -103,8 +103,7 @@ class MatrixRealization:
         if self.product_convention not in ("commutator", "quantum"):
             raise DomainError("bad_convention", self.product_convention)
         check_positive(self.hbar, "bad_hbar", "hbar")
-        mats = tuple(as_square(m) for m in self.mats)
-        stack = check_array(mats, "mats", (self.basis.dim, None, None), complex)  # of one size
+        stack = _squares(tuple(self.mats), "mats", (self.basis.dim,))  # of one size
         object.__setattr__(self, "_stack", stack)  # mats are views into it
         object.__setattr__(self, "mats", tuple(self._stack))
 
@@ -160,20 +159,20 @@ def killing_form(basis: LieAlgebraBasis) -> np.ndarray:
     return c.transpose(0, 2, 1).reshape(d, d * d) @ c.reshape(d, d * d).T
 
 
-def is_semisimple(basis: LieAlgebraBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
+def is_semisimple(basis: LieAlgebraBasis) -> bool:
     """Nondegeneracy test on the Killing form (smallest singular value)."""
     # the SVD of B itself: eigenvalues of B*B would square away half the precision
     smallest_sv = float(np.linalg.svd(killing_form(basis), compute_uv=False)[-1])
-    return smallest_sv > tol.abs_eps * basis.dim
+    return smallest_sv > _EPS * basis.dim
 
 
-def weyl_check(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
+def weyl_check(a, b) -> bool:
     """Check exp(A+B) = exp(-[A,B]/2) exp(A) exp(B) for central [A,B]."""
     a = as_square(a, "a")
     b = as_square(b, "b")
     com = commutator(a, b)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    bound = tol.bound(scale * scale)
+    bound = _bound(scale * scale)
     if np.max(np.abs(commutator(com, a))) > bound or np.max(np.abs(commutator(com, b))) > bound:
         raise DomainError("not_central", "[A,B] does not commute with A and B")
     lhs = expm(a + b)
@@ -230,7 +229,8 @@ def _span_residual(mats: np.ndarray) -> float:
     """Largest entry of any [M_j, M_k] outside span(M), from one least-squares solve."""
     d = mats.shape[0]
     a = mats.reshape(d, -1).T
-    b = _commutators(mats)[np.triu_indices(d, 1)].reshape(-1, a.shape[0]).T
+    b = finite(lambda: _commutators(mats)[np.triu_indices(d, 1)], "a commutator")
+    b = b.reshape(-1, a.shape[0]).T
     sol = np.linalg.lstsq(a, b, rcond=None)[0]
     return float(np.max(np.abs(a @ sol - b), initial=0.0))
 

@@ -5,22 +5,19 @@ routine treats its inputs as immutable and returns fresh arrays.  The
 matrix exponential is computed by scaling-and-squaring applied to the
 truncated power series.  Hermitian eigendecompositions come from LAPACK
 and are returned only with a certificate: the eigen-residual and the
-unitarity defect of the eigenvectors are checked against a
-``Tolerance`` after every solve.
+unitarity defect of the eigenvectors are checked after every solve.
+Every predicate passes a deviation of at most 1e-10 + 1e-10 * scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_array, check_count, check_finite, check_real, finite
+from .errors import DomainError, check_array, check_count, check_finite, finite
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
     "as_square",
     "commutator",
     "anticommutator",
@@ -34,34 +31,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative tolerance pair for numerical predicates."""
-
-    abs_eps: float = 1e-10
-    rel_eps: float = 1e-10
-
-    def __post_init__(self):
-        if check_real(self.abs_eps, "abs_eps", "bad_tolerance") < 0 \
-                or check_real(self.rel_eps, "rel_eps", "bad_tolerance") < 0:
-            raise DomainError("bad_tolerance", "tolerances must be nonnegative")
-        if self.abs_eps == 0 and self.rel_eps == 0:
-            raise DomainError("bad_tolerance", "abs_eps and rel_eps cannot both vanish")
-
-    def bound(self, scale: float = 1.0) -> float:
-        """Largest deviation accepted at the given reference scale."""
-        return self.abs_eps + self.rel_eps * abs(scale)
+_EPS = 1e-10  # the absolute and the relative part of every predicate's bound
 
 
-DEFAULT_TOL = Tolerance()
+def _bound(scale: float = 1.0) -> float:
+    """Largest deviation accepted at the given reference scale."""
+    return _EPS + _EPS * abs(scale)
+
+
+def _squares(a, name: str, shape: tuple) -> np.ndarray:
+    """``a`` as a finite complex array of shape ``shape`` + (n, n), n >= 1: n x n matrices."""
+    m = check_array(a, name, (*shape, None, None), complex)
+    if m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DomainError("shape", f"{name} must hold square matrices, got shape {m.shape}")
+    return check_finite(m, f"an entry of {name}")
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
     """Validate and return ``a`` as a square complex ndarray."""
-    m = check_array(a, name, (None, None), complex)
-    if m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise DomainError("shape", f"{name} must be square, got shape {m.shape}")
-    return check_finite(m, f"an entry of {name}")
+    return _squares(a, name, ())
 
 
 def commutator(a, b) -> np.ndarray:
@@ -124,45 +112,47 @@ def _within(defect, bound) -> bool:
     return bool(np.isfinite(worst) and worst <= bound)
 
 
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``a`` equals its conjugate transpose entrywise within tol."""
-    a = as_square(a)
+def _is_hermitian(a: np.ndarray, sign: int = 1) -> bool:
+    """True iff ``a - sign a*`` is within the bound at max(1, max |a|), for ``a`` already read."""
     scale = max(1.0, float(np.max(np.abs(a))))
-    return _within(lambda: a - a.conj().T, tol.bound(scale))
+    return _within(lambda: a - sign * a.conj().T, _bound(scale))
 
 
-def is_antihermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``a + a*`` vanishes entrywise within tol."""
+def is_hermitian(a) -> bool:
+    """True iff ``a`` equals its conjugate transpose entrywise within the bound."""
+    return _is_hermitian(as_square(a))
+
+
+def is_antihermitian(a) -> bool:
+    """True iff ``a + a*`` vanishes entrywise within the bound."""
+    return _is_hermitian(as_square(a), -1)
+
+
+def is_unitary(a) -> bool:
+    """True iff ``a* a = 1`` entrywise within the bound."""
     a = as_square(a)
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return _within(lambda: a + a.conj().T, tol.bound(scale))
+    return _within(lambda: a.conj().T @ a - np.eye(a.shape[0]), _bound())
 
 
-def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``a* a = 1`` entrywise within tol."""
+def is_special_orthogonal(a) -> bool:
+    """True iff ``a`` is real with ``a^T a = 1`` and ``det a = 1`` within the bound."""
     a = as_square(a)
-    return _within(lambda: a.conj().T @ a - np.eye(a.shape[0]), tol.bound(1.0))
-
-
-def is_special_orthogonal(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``a`` is real with ``a^T a = 1`` and ``det a = 1`` within tol."""
-    a = as_square(a)
-    if np.max(np.abs(a.imag)) > tol.bound(1.0):
+    if np.max(np.abs(a.imag)) > _bound():
         return False
     r = a.real
-    if not _within(lambda: r.T @ r - np.eye(r.shape[0]), tol.bound(1.0)):
+    if not _within(lambda: r.T @ r - np.eye(r.shape[0]), _bound()):
         return False
-    return bool(abs(np.linalg.det(r) - 1.0) <= tol.bound(1.0))
+    return bool(abs(np.linalg.det(r) - 1.0) <= _bound())
 
 
-def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
+def eig_hermitian(a):
     """Certified eigendecomposition of a Hermitian matrix.
 
     LAPACK (``numpy.linalg.eigh``) decomposes the exact Hermitian part
     H = (a + a*)/2, and the result is checked a posteriori: the
     residual ``||H V - V diag(w)||_F`` must be at most
-    ``tol.bound(||H||_F)`` and ``||V* V - 1||_F`` at most
-    ``tol.bound(1)``.  A failed check raises
+    1e-10 + 1e-10 ||H||_F and ``||V* V - 1||_F`` at most
+    2e-10.  A failed check raises
     ``DomainError("eig_certificate")`` instead of returning an
     unverified result, and a Frobenius norm past the float range, for
     which no bound can be checked, raises ``DomainError("not_finite")``.
@@ -170,7 +160,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
     Parameters
     ----------
     a : array_like
-        Hermitian matrix (checked entrywise within ``tol``).
+        Hermitian matrix (checked entrywise, as by ``is_hermitian``).
 
     Returns
     -------
@@ -180,7 +170,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
         Within a degenerate cluster the column ordering is unspecified.
     """
     a = as_square(a)
-    if not is_hermitian(a, tol):
+    if not _is_hermitian(a):
         raise DomainError("not_hermitian", "eig_hermitian requires a Hermitian matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow makes the norm inf
         h = 0.5 * (a + a.conj().T)  # exact Hermitian part kills roundoff asymmetry
@@ -188,7 +178,7 @@ def eig_hermitian(a, tol: Tolerance = DEFAULT_TOL):
     w, v = np.linalg.eigh(h)
     residual = float(np.linalg.norm(h @ v - v * w))
     defect = float(np.linalg.norm(v.conj().T @ v - np.eye(h.shape[0])))
-    if residual > tol.bound(norm) or defect > tol.bound(1.0):
+    if residual > _bound(norm) or defect > _bound():
         raise DomainError("eig_certificate",
                           f"residual {residual:.3g}, unitarity defect {defect:.3g}")
     return w, v

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -270,8 +270,9 @@ class RigidBodyState:
     t: float = 0.0
 
     def __post_init__(self):
-        J, I = tuple(self.J), tuple(self.I)
-        if len(J) != 3 or len(I) != 3:
+        J, I = (tuple(v) if isinstance(v, Iterable) else () for v in (self.J, self.I))
+        if len(J) != 3 or len(I) != 3 or any(isinstance(x, Iterable) and not isinstance(x, str)
+                                             for x in J + I):  # as for an array: a nested entry
             raise DomainError("shape", "J and I must be 3-vectors")
         J, I = tuple(check_real(x, "J") for x in J), tuple(check_real(x, "I") for x in I)
         check_real(self.t, "t")

@@ -51,7 +51,7 @@ def _every(flags: list) -> bool:
 
 
 def _check_so3(m: np.ndarray, shape: tuple = (3, 3)) -> np.ndarray:
-    """Return m if each 3x3 matrix in it passes is_special_orthogonal(., Tolerance(1e-9, 0))."""
+    """Return m if each 3x3 matrix in it has m^T m - 1 and det m - 1 within 1e-9 entrywise."""
     if m.shape != shape:
         raise DomainError("shape", "rotation must be 3x3")
     # nine Python floats for one matrix, nine length-n arrays for a stack
@@ -120,7 +120,9 @@ def hat(omega) -> np.ndarray:
 def vee(m) -> np.ndarray:
     """Inverse of :func:`hat`; rejects non-antisymmetric input."""
     a = check_finite(check_array(m, "m", (3, 3)), "an entry of m")
-    if np.max(np.abs(a + a.T)) > 1e-10:
+    with np.errstate(over="ignore"):  # a + a.T past the float range is inf, not antisymmetric
+        defect = np.max(np.abs(a + a.T))
+    if defect > 1e-10:
         raise DomainError("not_antisymmetric", "matrix is not antisymmetric")
     return np.array([a[2, 1], a[0, 2], a[1, 0]])
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_DIM, DomainError, check_array, check_cap, check_finite, check_spin
+from .errors import MAX_DIM, DomainError, check_array, check_cap, check_finite, check_spin, finite
 from .liealg import _span_residual
-from .matrixcore import as_square, eig_hermitian
+from .matrixcore import _squares, eig_hermitian
 
 __all__ = [
     "IrrepDj",
@@ -147,12 +147,10 @@ def spinor_inner(x, y, s) -> complex:
     """
     twos = check_spin(s, _SPINOR_DIM)
     x, y = (check_finite(check_array(v, "x and y", (2,), complex), "x and y") for v in (x, y))
-    direct = complex((np.conj(y) @ x) ** twos)
-    expanded = 0.0 + 0.0j
-    for kk in range(twos + 1):
-        pik_x = x[0] ** kk * x[1] ** (twos - kk)
-        pik_y = y[0] ** kk * y[1] ** (twos - kk)
-        expanded += math.comb(twos, kk) * pik_x * np.conj(pik_y)
+    direct = complex(finite(lambda: (np.conj(y) @ x) ** twos, "the overlap"))
+    expanded = finite(lambda: sum(math.comb(twos, kk) * (x[0] ** kk * x[1] ** (twos - kk))
+                                  * np.conj(y[0] ** kk * y[1] ** (twos - kk))
+                                  for kk in range(twos + 1)), "the metric expansion")
     if abs(direct - expanded) > 1e-10 * max(1.0, abs(direct)):
         raise DomainError("inconsistent", "metric expansion disagrees with closed form")
     return direct
@@ -181,13 +179,13 @@ def decompose_restriction(sub_mats):
     form T_ij = tr(S_i S_j); sizes are returned descending and sum to the
     ambient dimension.
     """
-    mats = [as_square(m) for m in sub_mats]
+    mats = list(sub_mats)
     if not mats:
         raise DomainError("not_subalgebra", "no generators given")
-    mats = check_array(mats, "sub_mats", (None, *mats[0].shape), complex)  # of one size
+    mats = _squares(mats, "sub_mats", (None,))  # of one size
     if _span_residual(mats) > _CLOSURE_TOL:
         raise DomainError("not_subalgebra", "commutator leaves the span")
-    trace_form = np.einsum("iab,jba->ij", mats, mats)
+    trace_form = finite(lambda: np.einsum("iab,jba->ij", mats, mats), "the trace form")
     if abs(np.linalg.det(trace_form)) < 1e-12:
         raise DomainError("not_subalgebra", "degenerate trace form, no quadratic invariant")
     # sum_ij (T^-1)_ij S_i S_j = sum_i S_i Y_i with Y_i = sum_j (T^-1)_ij S_j

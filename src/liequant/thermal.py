@@ -16,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_array, check_finite, check_positive, check_real
-from .matrixcore import DEFAULT_TOL, as_square, eig_hermitian, is_hermitian
+from .errors import DomainError, check_array, check_finite, check_positive, check_real, finite
+from .matrixcore import _is_hermitian, as_square, eig_hermitian
 
 __all__ = [
     "PhysicalConstants",
@@ -151,9 +151,8 @@ def kubo_inner(f, g, h) -> complex:
     max(p_m, p_n) phi(-|lambda_m - lambda_n|), which lies in (0, 1] and
     cannot overflow (Kubo, J. Phys. Soc. Jpn. 12, 570, 1957).
     """
-    f = as_square(f, "f")
-    g, h = (check_finite(check_array(v, "g and h", f.shape, complex), "g and h") for v in (g, h))
     state = GibbsState(f, 1.0)
+    g, h = (check_finite(check_array(v, "g and h", state.h.shape, complex), "g and h") for v in (g, h))
     w, v, p = state._w, state._v, state._probs
     gt = v.conj().T @ g @ v
     ht = v.conj().T @ h @ v
@@ -163,21 +162,20 @@ def kubo_inner(f, g, h) -> complex:
 
 def gibbs_bogoliubov_gap(f, g) -> float:
     """W(f) + <g - f>_f - W(g); nonnegative, zero iff g - f is constant."""
-    f = as_square(f, "f")
-    g = check_finite(check_array(g, "g", f.shape, complex), "an entry of g")
     state = GibbsState(f, 1.0)  # the state's log Z also gives W(f)
-    return float(0.0 - state.log_z) + state.value(g - f).real - generating_functional(g)
+    g = check_finite(check_array(g, "g", state.h.shape, complex), "an entry of g")
+    return float(0.0 - state.log_z) + state.value(g - state.h).real - generating_functional(g)
 
 
 def limit_resolution(state: GibbsState, g) -> float:
     """res(g) = sqrt(<g^2>/<g>^2 - 1); rejects vanishing mean."""
     g = as_square(g, "g")
-    if not is_hermitian(g, DEFAULT_TOL):
+    if not _is_hermitian(g):
         raise DomainError("not_hermitian", "limit resolution needs Hermitian g")
     mean = state.value(g).real
     if abs(mean) <= 1e-12:
         raise DomainError("zero_mean", "resolution undefined for <g> = 0")
-    second = state.value(g @ g).real
+    second = state.value(finite(lambda: g @ g, "g squared")).real
     return math.sqrt(max(second / mean**2 - 1.0, 0.0))
 
 

@@ -364,8 +364,6 @@ REALS = {
     "lorentz_response(k)": (lambda x: spectra.lorentz_response(1.0, 1.0, 1.0, 1.0, x), FINITE),
     "assign_lines_multistart(scale)": (lambda x: spectra.assign_lines_multistart(
         _LINES, _LEVELS, n_starts=2, scale=x), "dddvvvvdvdvvvv"),  # scale >= 0
-    "Tolerance(abs_eps)": (lambda x: matrixcore.Tolerance(x), "dddvvvvdvdvvvv"),  # eps >= 0
-    "Tolerance(rel_eps)": (lambda x: matrixcore.Tolerance(1e-10, x), "dddvvvvdvdvvvv"),
 }
 
 
@@ -440,8 +438,8 @@ ARRAYS = {
     "spinor_inner(y)": (lambda x: su2reps.spinor_inner([1.0, 0.0], x, 1), [0.6, 0.8], False),
     "decompose_restriction(sub_mats)": (su2reps.decompose_restriction, [_T3], False),
 }
-ARRAY_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, 1j, "1", None]
-ARRAY_ENTRY_IDS = ["nan", "inf", "-inf", "10**400", "1j", "'1'", "None"]
+ARRAY_ENTRIES = [math.nan, math.inf, -math.inf, 10**400, 1j, "1", None, 1e200, 1e308]
+ARRAY_ENTRY_IDS = ["nan", "inf", "-inf", "10**400", "1j", "'1'", "None", "1e200", "1e308"]
 
 
 def _leaves(value, path=()):
@@ -556,8 +554,8 @@ def test_each_array_with_a_special_entry(name, index):
     outcome = _array_outcome(name, _replaced(base, _leaves(base)[0], entry), entry)
     if entry is None or isinstance(entry, str) or (entry == 1j and real):
         assert outcome == "type"
-    elif entry != 1j:  # NaN, an infinity or 10**400 is never accepted
-        assert outcome == "domain"
+    elif entry != 1j and entry not in (1e200, 1e308):  # a value or a token, with no warning
+        assert outcome == "domain"  # NaN, an infinity or 10**400 is never accepted
 
 
 @pytest.mark.parametrize("name", sorted(ARRAYS))
@@ -722,11 +720,8 @@ class TestFoundReals:
     @pytest.mark.parametrize("call, token", [
         (lambda: spectra.lorentz_response(1, 10**400, 1, 1, 1), "not_finite"),  # returned 0.0
         (lambda: rotations.hat([math.nan, 0, 0]), "not_finite"),  # returned a NaN matrix
-        (lambda: matrixcore.Tolerance(math.inf), "bad_tolerance"),  # constructed
-        (lambda: matrixcore.Tolerance(1e-10, 10**400), "bad_tolerance"),  # constructed
         (lambda: thermal.PhysicalConstants(kbar=10**400), "bad_constants"),  # constructed
-    ], ids=["lorentz_response", "hat", "Tolerance(abs_eps)", "Tolerance(rel_eps)",
-            "PhysicalConstants"])
+    ], ids=["lorentz_response", "hat", "PhysicalConstants"])
     def test_a_non_finite_parameter_is_not_accepted(self, call, token):
         assert raised(call).token == token
 
@@ -797,6 +792,57 @@ class TestFoundArrays:
         with pytest.raises(TypeError):
             matrixcore.as_square([["1"]])  # was the matrix [[1]]
 
+    @pytest.mark.parametrize("call, token", [
+        (lambda: rotations.vee(np.diag([1e308] * 3)), "not_antisymmetric"),  # a + a.T
+        (lambda: thermal.limit_resolution(_STATE, np.diag([1e200, 1.0])), "not_finite"),  # g @ g
+        (lambda: su2reps.spinor_inner([1e200, 0], [1, 0], 1), "not_finite"),  # (y* x)^2s
+        (lambda: su2reps.decompose_restriction([np.diag([1e200, -1e200])]), "not_finite"),
+    ], ids=["vee", "limit_resolution", "spinor_inner", "decompose_restriction"])
+    def test_an_overflow_gives_a_token_without_a_warning(self, call, token):
+        # overflowed with a RuntimeWarning and, with warnings off, went on with inf or NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert raised(call).token == token
+
     def test_expectation_of_the_zero_state_is_bad_argument(self):
         # raised ZeroDivisionError
         assert raised(lambda: _F3.expectation(np.eye(3), [0, 0, 0])).token == "bad_argument"
+
+
+_HEISENBERG = liealg.builtin_algebra("heisenberg_t3")[1].mats
+_SL3 = liealg.builtin_algebra("sl(3)")[1]
+_SPIN1 = su2reps.build_irrep(1)
+
+
+class TestReadsPerCall:
+    """Each public call reads each matrix argument once, and the code below it works on the
+    array already read; only the public eig_hermitian, GibbsState.value, commutator and expm
+    calls, which the benchmark's tracer counts, read again."""
+
+    @pytest.mark.parametrize("call, reads", [
+        (lambda: matrixcore.eig_hermitian(_H2), 1),
+        (lambda: thermal.GibbsState(_H2, 1.0), 2),  # as_square and eig_hermitian
+        (lambda: thermal.partition_function(_H2, 1.0), 2),
+        (lambda: thermal.generating_functional(_H2), 2),
+        (lambda: thermal.kubo_inner(_H2, _H2, _EYE2), 4),  # the state, g and h
+        (lambda: thermal.gibbs_bogoliubov_gap(_H2, _EYE2), 6),  # two states, g and g - f
+        (lambda: thermal.limit_resolution(_STATE, _H2), 3),  # g, and value of g and of g @ g
+        (lambda: liealg.MatrixRealization(_SL3.basis, _SL3.mats), 1),  # the stack of 8
+        (lambda: su2reps.decompose_restriction([_SPIN1.t1, _SPIN1.t2, _SPIN1.t3]), 2),
+        (lambda: liealg.weyl_check(_HEISENBERG[0], _HEISENBERG[1]), 12),  # a, b, 3 commutators, 4 expm
+    ], ids=["eig_hermitian", "GibbsState", "partition_function", "generating_functional",
+            "kubo_inner", "gibbs_bogoliubov_gap", "limit_resolution", "MatrixRealization",
+            "decompose_restriction", "weyl_check"])
+    def test_check_array_calls(self, call, reads, monkeypatch):
+        count = []
+
+        def counted(*args, **kwargs):
+            count.append(args[1])
+            return check_array(*args, **kwargs)
+
+        for module in (liequant.errors, fermion, fock, liealg, matrixcore, poisson, rotations,
+                       spectra, su2reps, thermal):
+            if getattr(module, "check_array", None) is check_array:
+                monkeypatch.setattr(module, "check_array", counted)
+        call()
+        assert len(count) == reads, count

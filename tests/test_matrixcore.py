@@ -1,13 +1,14 @@
 """Matrix arithmetic: commutators, the exponential, predicates, eigensolver."""
 
+import inspect
 import warnings
 
 import numpy as np
 import pytest
 
+from liequant import liealg, matrixcore
 from liequant.errors import DomainError
 from liequant.matrixcore import (
-    Tolerance,
     anticommutator,
     commutator,
     eig_hermitian,
@@ -156,9 +157,28 @@ class TestPredicates:
         assert not is_antihermitian(np.array([[0, z], [z.conjugate(), 0]]))
         assert is_hermitian(np.array([[0, z], [z.conjugate(), 0]]))
 
-    def test_tolerance_validation(self):
-        with pytest.raises(DomainError):
-            Tolerance(0.0, 0.0)
+
+class TestFixedBound:
+    def test_no_predicate_takes_a_tolerance(self):
+        for f in (is_hermitian, is_antihermitian, is_unitary, is_special_orthogonal, eig_hermitian,
+                  liealg.is_semisimple, liealg.weyl_check):
+            assert "tol" not in inspect.signature(f).parameters, f.__name__
+        assert not hasattr(matrixcore, "Tolerance") and not hasattr(matrixcore, "DEFAULT_TOL")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_the_bound_is_1e_10_plus_1e_10_times_the_scale(self, scale):
+        bound = 1e-10 + 1e-10 * scale
+        for defect, expected in ((bound, True), (np.nextafter(bound, 1.0), False)):
+            assert is_hermitian(np.array([[scale, defect], [0.0, 0.0]])) is expected
+            assert is_antihermitian(np.array([[1j * scale, defect], [0.0, 0.0]])) is expected
+
+    def test_unitary_and_special_orthogonal_use_the_bound_at_scale_1(self):
+        for defect, expected in ((2e-10, True), (np.nextafter(2e-10, 1.0), False)):
+            shear = np.eye(3)
+            shear[0, 1] = defect  # shear^T shear - 1 has the entries defect and defect^2
+            assert is_unitary(shear) is expected
+            assert is_special_orthogonal(shear) is expected
+            assert is_special_orthogonal(np.eye(3) + 1j * defect * np.eye(3)[0]) is expected
 
 
 class TestEigHermitian:

@@ -9,6 +9,7 @@ import pytest
 
 from liequant import poisson
 from liequant.errors import DomainError
+from liequant.rotations import hat
 from liequant.poisson import (
     J1,
     J2,
@@ -182,6 +183,26 @@ class TestIntegrator:
                               ((1.0, 0.5, 0.2), (1.0, 2.0, 3.0), bad)):
             with pytest.raises(DomainError, match="not_finite"):
                 RigidBodyState(j, inertia, t)
+
+    @pytest.mark.parametrize("bad", [5, 2.5, ((1, 2), 0, 0), (1, [2], 0), (1.0, 0.5),
+                                     (1.0, 0.5, 0.2, 0.1), np.ones((3, 1))],
+                             ids=["int", "float", "nested", "inner list", "short", "long", "column"])
+    def test_a_vector_of_another_shape_is_shape(self, bad):
+        # as rotations.hat reads a 3-vector; 5 and ((1, 2), 0, 0) raised TypeError
+        with pytest.raises(DomainError, match="shape"):
+            hat(bad)
+        with pytest.raises(DomainError, match="shape"):
+            RigidBodyState(bad, (1.0, 2.0, 3.0))
+        with pytest.raises(DomainError, match="shape"):
+            RigidBodyState((1.0, 0.5, 0.2), bad)
+
+    @pytest.mark.parametrize("bad", [("1", 0.5, 0.2), "123", (1.0, None, 0.2)],
+                             ids=["str entry", "str", "None entry"])
+    def test_an_entry_that_is_not_a_number_is_type_error(self, bad):
+        with pytest.raises(TypeError):
+            hat(bad)
+        with pytest.raises(TypeError):
+            RigidBodyState(bad, (1.0, 2.0, 3.0))
 
 
 class TestTrajectoryAccess:
