@@ -16,7 +16,7 @@ MAX_SAMPLES = 100_000  # rigidbody --inertia=1,2,3 --j0=1,0.5,0.2 --steps 100000
 MAX_ORDER = 600  # gibbs --in m.json --beta 1, m a 600 x 600 Hilbert matrix: 1.0 s, 73 MB
 MAX_LEVELS = 2048  # highest-weight --u 1 --v 0 --max-levels 2048: 0.39 s, 121 MB
 MAX_MODES = 12  # fermion-check --modes 12: 0.31 s, 33 MB
-DIM_CAP = 64  # algebra-verify --name "gl(8)": 0.3 s, 72 MB
+DIM_CAP = 64  # algebra-verify --name "gl(8)": 0.2 s, 43 MB
 MAX_DIM = 900  # cg --k 29/2 --l 29/2: 0.3 s, 57 MB
 MAX_KMAX = 1000  # rydberg --kmax 1000: 1.2 s, 156 MB
 MAX_ASSIGN_TERMS = 12_000_000  # assign, 120 levels x 1,680 random lines: 6.9 s, 141 MB

@@ -116,8 +116,8 @@ class MatrixRealization:
 
     def consistency_residual(self) -> float:
         """Max deviation of the realized bracket from the structure constants."""
-        com = self._scale * _commutators(self._stack)
-        return _closure_residual(com, self.basis.c, self._stack)
+        return finite(lambda: _closure_residual(self._scale * _commutators(self._stack),
+                                                self.basis.c, self._stack), "the closure residual")
 
     def element(self, coords) -> np.ndarray:
         coords = check_array(coords, "coords", (self.basis.dim,), complex)
@@ -125,8 +125,43 @@ class MatrixRealization:
 
 
 def verify_jacobi(basis: LieAlgebraBasis) -> float:
-    """Max absolute Jacobi contraction over all index quadruples."""
+    """Max absolute Jacobi contraction over all index quadruples.  Rule: the join of the nonzero
+    constants when 8 x its products <= the GEMM's buffer, live pairs x d^2; else the GEMM."""
     c = basis.c
+    d = c.shape[0]
+    flat = np.flatnonzero(c != 0)  # the nonzero constants c[j,k,m], in row-major order
+    products = np.bincount(flat // (d * d), minlength=d)[flat % d].sum()  # c[j,k,m] c[m,l,n]
+    live = np.count_nonzero(np.bincount(flat // d))  # pairs (j, k) with a nonzero constant
+    return finite(lambda: _jacobi_join(c, flat) if 8 * products <= live * d * d
+                  else _jacobi_gemm(c), "a Jacobi sum")
+
+
+def _jacobi_join(c: np.ndarray, flat: np.ndarray) -> float:
+    """Max |Jacobi sum| from the products c[j,k,m] c[m,l,n] of the nonzero constants at ``flat``."""
+    d = c.shape[0]
+    j, k, m = np.unravel_index(flat, c.shape)  # the entries of row r of c are one run
+    size = np.bincount(j, minlength=d)
+    count = size[m]  # entry e joins with each entry (m, l, n) of row m[e]
+    e = np.repeat(np.arange(len(m)), count)
+    # product i joins entry e[i] with entry i - (first product of e[i]) of the run of row m[e[i]]:
+    # the run starts at cumsum(size)[m] - count, the products of e at cumsum(count) - count
+    p = np.arange(len(e)) + (np.cumsum(size)[m] - np.cumsum(count))[e]
+    v = c[j, k, m]
+    prod, j, k, l, n = v[e] * v[p], j[e], k[e], k[p], m[p]
+    # each cyclic rotation of (j, k, l) has the same sum: key a product by the least one and n,
+    # as ((j d + k) d + l) d + n; a triple j = k = l is its own three rotations
+    first, second = (j * d + k) * d + l, (k * d + l) * d + j
+    prod[first == second] *= 3
+    key = np.minimum(np.minimum(first, second), (l * d + j) * d + k) * d + n
+    del e, p, first, second, j, k, l, n  # the sort needs the key alone
+    order = np.argsort(key)
+    key = key[order]
+    sums = np.add.reduceat(prod[order], np.flatnonzero(np.diff(key, prepend=-1)))
+    return float(np.max(np.abs(sums), initial=0.0))  # 0 with no products, as heisenberg_t3
+
+
+def _jacobi_gemm(c: np.ndarray) -> float:
+    """Max |Jacobi sum| from one GEMM over the pairs (j, k) with a nonzero constant."""
     d = c.shape[0]
     a = c.reshape(d * d, d)
     pairs = np.flatnonzero(a.any(axis=1))
@@ -156,7 +191,8 @@ def killing_form(basis: LieAlgebraBasis) -> np.ndarray:
     """Killing form B[j,k] = tr(ad_j ad_k) with (ad_j)[l,k] = c[j,k,l]."""
     c = basis.c
     d = c.shape[0]
-    return c.transpose(0, 2, 1).reshape(d, d * d) @ c.reshape(d, d * d).T
+    return finite(lambda: c.transpose(0, 2, 1).reshape(d, d * d) @ c.reshape(d, d * d).T,
+                  "a Killing form entry")
 
 
 def is_semisimple(basis: LieAlgebraBasis) -> bool:

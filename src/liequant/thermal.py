@@ -157,7 +157,7 @@ def kubo_inner(f, g, h) -> complex:
     gt = v.conj().T @ g @ v
     ht = v.conj().T @ h @ v
     kernel = np.maximum(p[:, None], p[None, :]) * _phi_grid(-np.abs(w[:, None] - w[None, :]))
-    return complex(np.sum(gt * ht.T * kernel))
+    return complex(finite(lambda: np.sum(gt * ht.T * kernel), "the Kubo product"))
 
 
 def gibbs_bogoliubov_gap(f, g) -> float:

@@ -517,9 +517,12 @@ README_ARGVS = [shlex.split(line)[1:]
                 for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
                 for line in block.splitlines() if line.startswith("liequant ")
                 ] if README.is_file() else []
+# a subcommand's first README line is named by the subcommand, a later one by its whole argv
+README_IDS = [" ".join(argv if [a[0] for a in README_ARGVS[:i]].count(argv[0]) else argv[:1])
+              for i, argv in enumerate(README_ARGVS)]
 
 
-@pytest.mark.parametrize("argv", README_ARGVS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", README_ARGVS, ids=README_IDS)
 def test_readme_example(argv, tmp_path, monkeypatch, capsys):
     """Every ``liequant`` line of the README's shell blocks exits 0 with finite output."""
     monkeypatch.chdir(tmp_path)

@@ -3,6 +3,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,30 @@ def einsum_jacobi(c):
     term = np.einsum("jkm,mln->jkln", c, c)
     total = term + np.einsum("klm,mjn->jkln", c, c) + np.einsum("ljm,mkn->jkln", c, c)
     return float(np.max(np.abs(total)))
+
+
+def jacobi_join(c):
+    """The join branch of verify_jacobi, whatever the rule would choose."""
+    return liealg._jacobi_join(c, np.flatnonzero(c))
+
+
+# both branches of verify_jacobi, each called directly
+BRANCHES = pytest.mark.parametrize("branch", [jacobi_join, liealg._jacobi_gemm],
+                                   ids=["join", "gemm"])
+
+
+def join_rule(c):
+    """Oracle for verify_jacobi's rule: the join's products against the GEMM's buffer."""
+    nonzero = c != 0
+    products = np.count_nonzero(nonzero, axis=(0, 1)) @ np.count_nonzero(nonzero, axis=(1, 2))
+    return 8 * products <= np.count_nonzero(nonzero.any(axis=2)) * len(c) ** 2
+
+
+def counted(monkeypatch, name):
+    """The dimensions of the tensors that liealg's function ``name`` is called with."""
+    calls, fn = [], getattr(liealg, name)
+    monkeypatch.setattr(liealg, name, lambda c, *rest: calls.append(len(c)) or fn(c, *rest))
+    return calls
 
 
 class TestBuiltins:
@@ -496,9 +521,49 @@ class TestJacobi:
 
     @pytest.mark.parametrize("name", UP_TO_CAP)
     def test_builtins_against_einsum_oracle(self, name):
-        # every builtin has integer constants, so the sums are exact
+        # every builtin has integer constants, so the sums of both branches are exact
         basis = builtin_algebra(name)[0]
-        assert verify_jacobi(basis) == einsum_jacobi(basis.c)
+        want = einsum_jacobi(basis.c)
+        assert verify_jacobi(basis) == jacobi_join(basis.c) == liealg._jacobi_gemm(basis.c) == want
+
+    def test_every_split_matches_the_gemm(self):
+        for name in EVERY_SPLIT:
+            basis = builtin_algebra(name)[0]
+            assert verify_jacobi(basis) == liealg._jacobi_gemm(basis.c), name
+
+    @BRANCHES
+    def test_live_triple_row(self, branch):
+        # (0, 0, 0) is its own three rotations: c[0,0,0] c[0,0,0] counts three times,
+        # so J[0,0,0,0] = 3 * 2 * 2; the other entries give sums of at most 3
+        c = np.zeros((3, 3, 3))
+        c[0, 0, 0], c[0, 1, 2], c[2, 0, 1], c[1, 2, 0] = 2.0, 1.0, 1.5, -0.5
+        assert brute_jacobi(c) == 12.0
+        assert branch(c) == 12.0
+
+    @BRANCHES
+    def test_heisenberg_has_no_join_products(self, branch):
+        # [p, q] = one, and one is central: no constant c[j,k,m] meets a nonzero row m
+        c = builtin_algebra("heisenberg_t3")[0].c
+        flat = np.flatnonzero(c)
+        assert np.bincount(flat // 9, minlength=3)[flat % 3].sum() == 0
+        assert branch(c) == 0.0
+
+    def test_rule_sends_builtins_to_the_join_and_dense_tensors_to_the_gemm(self, monkeypatch):
+        # a count of calls, not a timing: the join for every builtin of dimension >= 8,
+        # the GEMM for dense antisymmetric tensors
+        joins = counted(monkeypatch, "_jacobi_join")
+        for name in UP_TO_CAP:
+            basis, before = builtin_algebra(name)[0], len(joins)
+            verify_jacobi(basis)
+            assert len(joins) - before == join_rule(basis.c), name
+            assert join_rule(basis.c) or basis.dim < 8, name
+        rng = np.random.default_rng(59)
+        for d in (2, 5, 12, 20):
+            c = rng.standard_normal((d, d, d))
+            c = c - c.swapaxes(0, 1)
+            before = len(joins)
+            verify_jacobi(LieAlgebraBasis("dense", tuple(map(str, range(d))), c))
+            assert len(joins) == before and not join_rule(c)
 
     @pytest.mark.parametrize("kind", ["real", "complex", "antisymmetric", "integer", "sparse"])
     def test_random_tensors_against_einsum_oracle(self, kind):
@@ -523,24 +588,41 @@ class TestJacobi:
                 tensors = [c * (rng.random((d, d, 1)) < 0.2),
                            c * (rng.random((d, d, d)) < 2 / d ** 2), one, np.zeros((d, d, d))]
             for c in tensors:
-                got = verify_jacobi(LieAlgebraBasis("random", tuple(map(str, range(d))), c))
                 want = einsum_jacobi(c)
-                if kind == "integer":
-                    assert got == want
-                else:
-                    assert abs(got - want) <= 1e-14 * want
+                basis = LieAlgebraBasis("random", tuple(map(str, range(d))), c)
+                c = basis.c  # as float or complex
+                for got in (verify_jacobi(basis), jacobi_join(c), liealg._jacobi_gemm(c)):
+                    if kind == "integer":
+                        assert got == want
+                    else:
+                        assert abs(got - want) <= 1e-14 * want
 
-    def test_allocation_bound_at_cap(self):
-        # a deterministic memory bound, not a timing gate: the einsum oracle
-        # holds 3 d^4 entries at once; the GEMM over live pairs holds about
-        # 0.3 d^4 for gl(8), and 1.7 d^4 for a dense tensor, where every pair is live
+    def test_allocation_bound_at_cap(self, monkeypatch):
+        # a deterministic memory bound, not a timing gate: the einsum oracle holds
+        # 3 d^4 entries at once; the join holds a few arrays of its products, and the
+        # GEMM over live pairs about 1.7 d^4 for a dense tensor, where every pair is live.
+        # The join's worst case is a tensor just inside the rule: its first n entries of
+        # a random order take the join, and its first n + 1 the GEMM
         rng = np.random.default_rng(31)
         dense = rng.standard_normal((DIM_CAP,) * 3)
         dense = LieAlgebraBasis("dense", tuple(map(str, range(DIM_CAP))),
                                 dense - dense.swapaxes(0, 1))
         basis = builtin_algebra("gl(8)")[0]
         assert basis.dim == DIM_CAP
-        for algebra, bound in ((basis, 0.5), (dense, 2)):
+        order, values = rng.permutation(DIM_CAP ** 3), rng.standard_normal(DIM_CAP ** 3)
+
+        def first(n):
+            c = np.zeros(DIM_CAP ** 3)
+            c[order[:n]] = values[:n]
+            return c.reshape((DIM_CAP,) * 3)
+
+        inside, outside = 0, DIM_CAP ** 3  # join_rule holds at inside and fails at outside
+        while outside - inside > 1:
+            mid = (inside + outside) // 2
+            inside, outside = (mid, outside) if join_rule(first(mid)) else (inside, mid)
+        edge = LieAlgebraBasis("edge", tuple(map(str, range(DIM_CAP))), first(inside))
+        joins = counted(monkeypatch, "_jacobi_join")
+        for algebra, bound in ((basis, 0.5), (dense, 2), (edge, 2)):
             tracemalloc.start()
             try:
                 verify_jacobi(algebra)
@@ -548,6 +630,7 @@ class TestJacobi:
             finally:
                 tracemalloc.stop()
             assert peak <= bound * DIM_CAP ** 4 * algebra.c.itemsize
+        assert joins == [DIM_CAP, DIM_CAP]  # gl(8) and the edge
 
 
 class TestKillingForm:
@@ -650,6 +733,40 @@ class TestWeyl:
             a = np.array([[0, alpha, gamma], [0, 0, beta], [0, 0, 0]], dtype=complex)
             b = np.array([[0, delta, gamma], [0, 0, -alpha], [0, 0, 0]], dtype=complex)
             assert weyl_check(a, b)
+
+
+def scaled(name, factor):
+    """The builtin basis ``name`` with its constants times ``factor``."""
+    basis = builtin_algebra(name)[0]
+    return LieAlgebraBasis(name, basis.names, basis.c * factor)
+
+
+# each overflowed with a RuntimeWarning and returned nan or an infinity
+@pytest.mark.parametrize("name, branch", [("so3", "_jacobi_gemm"), ("sl(3)", "_jacobi_join")])
+def test_jacobi_past_the_float_range_is_not_finite(name, branch, monkeypatch):
+    calls = counted(monkeypatch, branch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not_finite"):
+            verify_jacobi(scaled(name, 1e200))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("invariant", [killing_form, is_semisimple])
+def test_killing_form_past_the_float_range_is_not_finite(invariant):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not_finite"):
+            invariant(scaled("so3", 1e200))
+
+
+def test_consistency_residual_past_the_float_range_is_not_finite():
+    basis, real = builtin_algebra("so3")
+    big = MatrixRealization(basis, tuple(m * 1e200 for m in real.mats))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not_finite"):
+            big.consistency_residual()
 
 
 def test_weyl_check_past_the_float_range_is_not_finite():

@@ -343,6 +343,14 @@ class TestKubo:
             got = kubo_inner(np.diag([0.0, spread]), sx, sx)
         assert abs(got - want) <= 1e-15 * want
 
+    def test_past_the_float_range_is_not_finite(self):
+        # the final sum overflowed with a RuntimeWarning and returned (inf+nanj)
+        f, big = np.array([[0.0, 0.3], [0.3, 1.0]]), np.full((2, 2), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="not_finite"):
+                kubo_inner(f, big, big)
+
     def test_degenerate_kernel_stability(self):
         # equal eigenvalues hit the phi(x) ~ 1 + x/2 series branch
         f = np.diag([1.0, 1.0, 1.0 + 5e-5])
