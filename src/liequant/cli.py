@@ -20,8 +20,6 @@ import warnings
 from fractions import Fraction
 from itertools import chain
 
-import numpy as np
-
 from .errors import (MAX_ASSIGN_ITERS, MAX_ASSIGN_STARTS, MAX_ORDER, MAX_SAMPLES, DomainError,
                      check_cap, check_count, check_positive)
 
@@ -36,7 +34,7 @@ def _json(o, nl: str) -> str:
     """``o`` as JSON; ``nl`` is a newline and the indent of the line ``o`` starts on."""
     if isinstance(o, complex):
         o = [o.real, o.imag]
-    elif isinstance(o, (np.ndarray, np.integer)):
+    elif (np := sys.modules.get("numpy")) and isinstance(o, (np.ndarray, np.integer)):
         # a complex entry as [re, im], as a complex number is written
         o = (np.stack((o.real, o.imag), axis=-1) if np.iscomplexobj(o) else o).tolist()
     if not isinstance(o, (list, tuple, dict)) or not o:
@@ -90,11 +88,12 @@ def _spin(text: str) -> str:
     return text
 
 
-def _json_array(path: str, key: str, max_rows=math.inf) -> np.ndarray:
+def _json_array(path: str, key: str, max_rows=math.inf):
     """Field ``key`` of the JSON object in file ``path``, as a float array.
 
     More than ``max_rows`` rows raise ``size_cap`` before the array is built.
     """
+    import numpy as np
     with open(path) as fh:
         try:
             value = json.load(fh, parse_int=float)[key]  # a huge integer is inf, as 1e400
@@ -108,23 +107,20 @@ def _json_array(path: str, key: str, max_rows=math.inf) -> np.ndarray:
     check_cap(len(value), max_rows, f"{path}: rows of {key!r}")  # reached only past the cap
 
 
-def _matrix_arg(args) -> np.ndarray:
-    if args.matrix:
-        n = int(round(math.sqrt(len(args.matrix))))
-        if n * n != len(args.matrix):
-            raise DomainError("shape", "--matrix needs n*n comma-separated entries")
-        return np.array(args.matrix).reshape(n, n)
+def _matrix_arg(args):
+    if args.matrix:  # as rows, which Rotation reads as a list of lists
+        if len(args.matrix) != 9:
+            raise DomainError("shape", "--matrix needs 9 comma-separated entries")
+        return [args.matrix[0:3], args.matrix[3:6], args.matrix[6:9]]
     if args.infile:
         return _json_array(args.infile, "matrix")
     raise DomainError("missing_input", "provide --matrix or --in")
 
 
 def _seed(args) -> int:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("LIEQUANT_SEED") or "0"
-        seed = int(env) if env.isdecimal() else -1  # not isdigit(): int() rejects "²"
-    return check_count(seed, "the seed")
+    """--seed, else LIEQUANT_SEED (0 when unset), unchecked; -1 when LIEQUANT_SEED is not decimal."""
+    env = os.environ.get("LIEQUANT_SEED") or "0"  # not isdigit() below: int() rejects "²"
+    return args.seed if args.seed is not None else int(env) if env.isdecimal() else -1
 
 
 def _constants(args):
@@ -144,12 +140,12 @@ def _cmd_rotate(args) -> str:
     if args.axis:
         rot = rotations.elementary(args.axis, args.angle)
     elif args.vector:
-        rot = rotations.rodrigues(np.array(args.vector))
+        rot = rotations.rodrigues(args.vector)
     else:
         raise DomainError("missing_input", "provide --axis/--angle or --vector")
     out = {"matrix": rot.m.tolist()}
     if args.apply:
-        out["image"] = rot.apply(np.array(args.apply)).tolist()
+        out["image"] = rot.apply(args.apply).tolist()
     return _jdump(out)
 
 
@@ -166,23 +162,8 @@ def _cmd_lift(args) -> str:
 
 
 def _cmd_cover_check(args) -> str:
-    from .rotations import _check_so3, _cover, _su2_product
-    check_count(args.samples, "--samples", cap=MAX_SAMPLES)
-    # the 4-normal draws of 2n successive haar_su2 calls, u1 then u2 of each sample
-    v = np.random.default_rng(_seed(args)).standard_normal((args.samples, 2, 4))
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    (x1, y1), (x2, y2) = v.view(complex).transpose(1, 2, 0)  # x = v0 + i v1, y = v2 + i v3
-    pairs = ((x1, y1), (x2, y2), _su2_product(x1, y1, x2, y2), (-x1, -y1))  # u1, u2, u1 u2, -u1
-    r1, r2, prod, neg = (_check_so3(_cover(x, y), (args.samples, 3, 3)) for x, y in pairs)
-    worst_h = float(np.abs(prod - r1 @ r2).max(initial=0.0))
-    worst_sign = float(np.abs(neg - r1).max(initial=0.0))
-    near_identity = np.abs(r1 - np.eye(3)).max(axis=(1, 2)) <= 1e-10
-    near = np.minimum(abs(x1 - 1) + abs(y1), abs(x1 + 1) + abs(y1))
-    kernel_ok = bool((near[near_identity] <= 1e-8).all())
-    if not (worst_h <= 1e-10 and worst_sign <= 1e-14 and kernel_ok):
-        raise DomainError("check_failed", "covering-map defect above tolerance")
-    return _jdump({"samples": args.samples, "max_homomorphism_defect": worst_h,
-                   "max_sign_defect": worst_sign, "kernel_ok": kernel_ok, "pass": True})
+    from .rotations import cover_check
+    return _jdump({"samples": args.samples, **cover_check(args.samples, _seed(args)), "pass": True})
 
 
 def _cmd_algebra_verify(args) -> str:
@@ -196,7 +177,7 @@ def _cmd_algebra_verify(args) -> str:
         "jacobi_residual": liealg.verify_jacobi(basis),
         "realization_residual": real.consistency_residual(),
         "semisimple": liealg.is_semisimple(basis),
-        "killing_form": np.real(kf).tolist(),
+        "killing_form": kf.real.tolist(),
     }
     if args.dump:
         out["basis"] = json.loads(basis.to_json())
@@ -221,9 +202,8 @@ def _cmd_coherent(args) -> str:
     state = fock.CoherentState(complex(*args.lam), complex(*args.z), args.dim)
     norm = fock.coherent_inner(state, state, args.hbar)
     out = {"coeffs": state.coeffs, "norm_squared": norm}
-    if args.evolve:
-        omega, t = args.evolve
-        out["evolved_z"] = complex(fock.evolve_coherent(state, omega, t).z)
+    if args.evolve:  # omega, t
+        out["evolved_z"] = complex(fock.evolve_coherent(state, *args.evolve).z)
     return _jdump(out)
 
 
@@ -232,13 +212,11 @@ def _cmd_highest_weight(args) -> str:
     data = fock.HWData(args.u, args.v, args.alpha, args.hbar)
     a, a_dag, h, verdict = fock.build_highest_weight(data, args.max_levels)
     out = {"u": args.u, "v": args.v, "alpha": args.alpha, "hbar": args.hbar,
-           "h_diagonal": np.diag(h).tolist()}
+           "h_diagonal": h.diagonal().tolist()}
     if isinstance(verdict, fock.FiniteVerdict):
-        out["verdict"] = "finite"
-        out["dim"] = verdict.dim
+        out.update(verdict="finite", dim=verdict.dim)
     else:
-        out["verdict"] = "infinite"
-        out["levels_checked"] = verdict.levels_checked
+        out.update(verdict="infinite", levels_checked=verdict.levels_checked)
     return _jdump(out)
 
 
@@ -246,7 +224,7 @@ def _cmd_fermion_check(args) -> str:
     from . import fermion
     f = fermion.build_fermion(args.modes)
     spectra_ok = all(
-        set(np.round(fermion.number_spectrum(f, j + 1)).astype(int)) <= {0, 1}
+        set(fermion.number_spectrum(f, j + 1).round().astype(int)) <= {0, 1}
         for j in range(args.modes))
     return _jdump({"modes": args.modes, "dim": f.dim,
                    "car_residual": fermion.car_residual(f),
@@ -256,10 +234,9 @@ def _cmd_fermion_check(args) -> str:
 def _cmd_irrep(args) -> str:
     from .su2reps import build_irrep, casimir
     rep = build_irrep(Fraction(args.j))
-    cas = casimir(rep)
     return _jdump({"j": args.j, "dim": rep.dim,
-                   "t3_diagonal": np.diag(rep.t3).real.tolist(),
-                   "casimir_value": float(np.real(cas[0, 0])) if rep.dim else 0.0})
+                   "t3_diagonal": rep.t3.diagonal().real.tolist(),
+                   "casimir_value": float(casimir(rep)[0, 0].real) if rep.dim else 0.0})
 
 
 def _cmd_cg(args) -> str:
@@ -276,6 +253,7 @@ def _cmd_cg(args) -> str:
 def _cmd_gibbs(args) -> str:
     from . import thermal
     if args.levels:
+        import numpy as np
         check_cap(len(args.levels), MAX_ORDER, "--levels")  # before the dense diagonal matrix
         h = np.diag(args.levels)
     elif args.infile:
@@ -289,16 +267,16 @@ def _cmd_gibbs(args) -> str:
 
 
 def _cmd_blackbody(args) -> str:
+    import numpy as np
+
     from .thermal import planck_density
     consts = _constants(args)
     check_count(args.points, "--points", cap=MAX_SAMPLES)
     check_positive(args.omega_min, "bad_argument", "--omega-min")
     check_positive(args.omega_max, "bad_argument", "--omega-max")
-    lines = ["omega,f_omega"]
-    for w in np.geomspace(args.omega_min, args.omega_max, args.points):
-        f = planck_density(float(w), args.temperature, args.volume, consts)
-        lines.append(f"{w:.17g},{f:.17g}")
-    return "\n".join(lines) + "\n"
+    grid = np.geomspace(args.omega_min, args.omega_max, args.points).tolist()
+    density = (planck_density(w, args.temperature, args.volume, consts) for w in grid)
+    return "omega,f_omega\n" + "".join([f"{w:.17g},{f:.17g}\n" for w, f in zip(grid, density)])
 
 
 def _cmd_wien(args) -> str:
@@ -315,13 +293,13 @@ def _cmd_stefan(args) -> str:
 def _cmd_rydberg(args) -> str:
     from .spectra import RYDBERG_CONSTANT, rydberg_lines
     rh = RYDBERG_CONSTANT if args.rh is None else args.rh
-    lines = ["k,l,omega"]
-    for k, l, w in rydberg_lines(args.kmax, rh):
-        lines.append(f"{k},{l},{w:.17g}")
-    return "\n".join(lines) + "\n"
+    return "k,l,omega\n" + "".join(
+        [f"{k},{l},{w:.17g}\n" for k, l, w in rydberg_lines(args.kmax, rh)])
 
 
 def _cmd_assign(args) -> str:
+    import numpy as np
+
     from . import spectra
     # the library caps both too; here they come before the input files are read
     check_cap(args.starts, MAX_ASSIGN_STARTS, "--starts")
@@ -330,15 +308,15 @@ def _cmd_assign(args) -> str:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # numpy warns on a CSV with no rows
             raw = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
-        omega, weight = raw[:, 0], raw[:, 1]
-    except (ValueError, IndexError, UserWarning) as err:
+        omega, weight = raw.T  # ValueError unless there are exactly two columns
+    except (ValueError, UserWarning) as err:
         raise DomainError("bad_input", f"{args.data}: not an omega,weight CSV") from err
     data = spectra.SpectrumDataset(omega, weight)
     init = spectra.EnergyLevels(_json_array(args.levels, "levels"))
     best = spectra.assign_lines_multistart(
         data, init, hbar=args.hbar, max_iters=args.max_iters,
         n_starts=args.starts, scale=args.scale,
-        rng=np.random.default_rng(_seed(args)))
+        rng=np.random.default_rng(check_count(_seed(args), "the seed")))
     return _jdump({
         "levels": best.levels.tolist(),
         "assignments": np.column_stack(
@@ -460,11 +438,8 @@ def main(argv=None) -> int:
     handler = globals()[args.handler]
     try:
         _write(args, handler(args))
-    except DomainError as err:
-        print(err.token, file=sys.stderr)
-        return 1
-    except OSError:
-        print("io_error", file=sys.stderr)
+    except (DomainError, OSError) as err:  # OSError: an input or output file cannot be opened
+        print(err.token if isinstance(err, DomainError) else "io_error", file=sys.stderr)
         return 1
     return 0
 

@@ -12,7 +12,8 @@ import operator
 
 # Size caps, each with its largest admitted run: argv (other options at their CLI
 # defaults), wall time and peak RSS of the process, one BLAS thread on a 2-core VM
-MAX_SAMPLES = 100_000  # rigidbody --inertia=1,2,3 --j0=1,0.5,0.2 --steps 100000: 1.0 s, 83 MB
+MAX_SAMPLES = 100_000  # rigidbody --inertia=1,2,3 --j0=1,0.5,0.2 --steps 100000: 0.8 s, 70 MB;
+#                        cover-check --samples 100000: 0.3-0.4 s, 100 MB
 MAX_ORDER = 600  # gibbs --in m.json --beta 1, m a 600 x 600 Hilbert matrix: 1.0 s, 73 MB
 MAX_LEVELS = 2048  # highest-weight --u 1 --v 0 --max-levels 2048: 0.39 s, 121 MB
 MAX_MODES = 12  # fermion-check --modes 12: 0.31 s, 33 MB

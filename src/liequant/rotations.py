@@ -10,7 +10,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, check_array, check_finite, check_real, finite
+from .errors import (MAX_SAMPLES, DomainError, check_array, check_count, check_finite, check_real,
+                     finite)
 
 __all__ = [
     "Rotation",
@@ -24,6 +25,7 @@ __all__ = [
     "covering_map",
     "lift_to_su2",
     "haar_su2",
+    "cover_check",
 ]
 
 
@@ -253,3 +255,25 @@ def haar_su2(rng: np.random.Generator) -> SU2Element:
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
     return SU2Element(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def cover_check(samples: int, seed: int) -> dict:
+    """max |R(u1 u2) - R(u1) R(u2)|, max |R(-u1) - R(u1)| and whether R(u1) = 1 only at u1 = +-1,
+    over ``samples`` Haar-random pairs drawn with ``default_rng(seed)``, as a dict; ``check_failed``
+    when a defect is above its bound (1e-10, 1e-14) or the kernel test fails."""
+    samples = check_count(samples, "the sample count", cap=MAX_SAMPLES)
+    # the 4-normal draws of 2n successive haar_su2 calls, u1 then u2 of each sample
+    v = np.random.default_rng(check_count(seed, "the seed")).standard_normal((samples, 2, 4))
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    (x1, y1), (x2, y2) = v.view(complex).transpose(1, 2, 0)  # x = v0 + i v1, y = v2 + i v3
+    pairs = ((x1, y1), (x2, y2), _su2_product(x1, y1, x2, y2), (-x1, -y1))  # u1, u2, u1 u2, -u1
+    r1, r2, prod, neg = (_check_so3(_cover(x, y), (samples, 3, 3)) for x, y in pairs)
+    worst_h = float(np.abs(prod - r1 @ r2).max(initial=0.0))
+    worst_sign = float(np.abs(neg - r1).max(initial=0.0))
+    near_identity = np.abs(r1 - np.eye(3)).max(axis=(1, 2)) <= 1e-10
+    near = np.minimum(abs(x1 - 1) + abs(y1), abs(x1 + 1) + abs(y1))
+    kernel_ok = bool((near[near_identity] <= 1e-8).all())
+    if not (worst_h <= 1e-10 and worst_sign <= 1e-14 and kernel_ok):
+        raise DomainError("check_failed", "covering-map defect above tolerance")
+    return {"max_homomorphism_defect": worst_h, "max_sign_defect": worst_sign,
+            "kernel_ok": kernel_ok}

@@ -275,14 +275,18 @@ def reference_cover_check(samples, seed):
 
 
 class TestCoverCheckBatch:
-    """cover-check checks all samples as arrays, with the checks of the per-sample loop."""
+    """rotations.cover_check checks all samples as arrays, with the checks of the per-sample
+    loop, and cover-check prints what it returns."""
 
     @pytest.mark.parametrize("samples, seed", [(0, 0), (1, 5), (2, 9), (1000, 7), (1000, 40)])
     def test_matches_the_per_sample_loop(self, capsys, samples, seed):
+        from liequant.rotations import cover_check
         code, out, err = run_cli(capsys, "cover-check", "--samples", str(samples),
                                  "--seed", str(seed))
         got, want = json.loads(out), reference_cover_check(samples, seed)
         assert (code, err) == (0, "")
+        # the library's numbers, as the CLI prints them, against the loop's below
+        assert got == {"samples": samples, **cover_check(samples, seed), "pass": True}
         # batched arithmetic rounds differently in the last bits of the products
         assert abs(got.pop("max_homomorphism_defect") -
                    want.pop("max_homomorphism_defect")) <= 2e-15
@@ -298,9 +302,9 @@ class TestCoverCheckBatch:
         import ast
         import inspect
 
-        from liequant import cli
+        from liequant import rotations
 
-        tree = ast.parse(inspect.getsource(cli._cmd_cover_check))
+        tree = ast.parse(inspect.getsource(rotations.cover_check))
         assert not [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
         # the one comprehension runs over the four images R(u1), R(u2), R(u1 u2), R(-u1)
         assert [ast.unparse(c.iter) for c in ast.walk(tree)
@@ -427,7 +431,7 @@ class TestBadInput:
         ({"d.csv": "omega,weight\n" + "1.0,1.0\n" * 4000,
           "l.json": json.dumps({"levels": list(range(120))})},
          ("assign", "--data", "d.csv", "--levels", "l.json", "--max-iters", "5"), "size_cap"),
-        # one more than cli.MAX_ORDER levels or matrix rows
+        # one more than errors.MAX_ORDER levels or matrix rows
         ({}, ("gibbs", "--levels", ",".join(["0"] * (MAX_ORDER + 1)), "--beta", "1"), "size_cap"),
         ({"m.json": json.dumps({"matrix": [[0] * (MAX_ORDER + 1)] * (MAX_ORDER + 1)})},
          ("gibbs", "--in", "m.json", "--beta", "1"), "size_cap"),
@@ -484,6 +488,11 @@ class TestBadInput:
         # the integrator caps --steps, after the state is read: this gave size_cap
         ({}, ("rigidbody", "--inertia=-1,2,3", "--j0", "1,1,1", "--steps", "100001"),
          "bad_inertia"),
+        # a third column was dropped without a word, and this exited 0
+        ({"d.csv": "omega,weight\n1,1,3\n", "l.json": '{"levels": [0, 1]}'},
+         ("assign", "--data", "d.csv", "--levels", "l.json"), "bad_input"),
+        # the sample count is read before the seed
+        ({}, ("cover-check", "--samples", "100001", "--seed=-1"), "size_cap"),
     ])
     def test_bad_content_is_domain_error(self, files, argv, token, tmp_path):
         """Exit 1 with the token alone on stderr: no traceback, no warning, no output."""
@@ -829,6 +838,17 @@ def test_subcommand_loads_only_its_library_module(command):
     loaded = loaded_modules(f"from liequant.cli import build_parser, main\n{run}")
     expected = {"cli", "errors", *SUBCOMMAND_MODULES[command]}
     assert loaded == {"liequant", *(f"liequant.{m}" for m in expected)}
+
+
+def test_parser_and_rigidbody_load_no_numpy():
+    """Building the parser and a rigidbody run load no numpy: poisson imports none, and cli.py
+    imports it only in the handlers whose own code needs it."""
+    loaded = loaded_modules(
+        "import sys\nfrom liequant.cli import build_parser, main\nbuild_parser()\n"
+        "assert 'numpy' not in sys.modules\n"
+        "main(['rigidbody', '--inertia=1,2,3', '--j0=1,0.5,0.2', '--steps', '3'])\n"
+        "assert 'numpy' not in sys.modules")
+    assert loaded == {"liequant", "liequant.cli", "liequant.errors", "liequant.poisson"}
 
 
 def test_package_imports_each_submodule_on_first_use():

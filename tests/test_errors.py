@@ -282,6 +282,8 @@ COUNTS = {
     "assign_lines_multistart(n_starts)":
         lambda n: spectra.assign_lines_multistart(_LINES, _LEVELS, n_starts=n),
     "integrate_rigid_body(steps)": lambda n: poisson.integrate_rigid_body(_BODY, 1e-3, n),
+    "cover_check(samples)": lambda n: rotations.cover_check(n, 0),  # capped at MAX_SAMPLES
+    "cover_check(seed)": lambda n: rotations.cover_check(1, n),
 }
 SPINS = {
     "build_irrep(j)": su2reps.build_irrep,

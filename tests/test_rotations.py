@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from liequant.errors import DomainError, check_finite
+from liequant.errors import MAX_SAMPLES, DomainError, check_finite
 from liequant.matrixcore import as_square, expm, is_special_orthogonal
 from liequant.rotations import (
     Rotation,
     SU2Element,
+    cover_check,
     covering_map,
     elementary,
     euler_zyz,
@@ -192,6 +193,24 @@ class TestCoveringMap:
         # and the two center elements do land on the identity
         for sign in (1.0, -1.0):
             assert np.max(np.abs(covering_map(SU2Element(sign, 0.0)).m - np.eye(3))) == 0.0
+
+
+class TestCoverCheck:
+    """The batched test of the covering map; tests/test_cli.py compares it with the loop."""
+
+    def test_returns_the_defects_and_the_kernel_verdict(self):
+        got = cover_check(500, 3)
+        assert list(got) == ["max_homomorphism_defect", "max_sign_defect", "kernel_ok"]
+        assert 0.0 < got["max_homomorphism_defect"] <= 1e-10 and got["max_sign_defect"] == 0.0
+        assert list(map(type, got.values())) == [float, float, bool] and got["kernel_ok"]
+
+    def test_caps_samples_before_it_reads_the_seed(self):
+        for seed in (0, -1):
+            with pytest.raises(DomainError, match="size_cap"):
+                cover_check(MAX_SAMPLES + 1, seed)
+        for samples, seed in ((-1, 0), (1, -1)):
+            with pytest.raises(DomainError, match="bad_argument"):
+                cover_check(samples, seed)
 
 
 class TestSU2Element:
